@@ -11,8 +11,8 @@ Exit codes: 0 success, 1 pipeline or data error, 2 usage or I/O error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
-import os
 import sys
 import warnings
 from pathlib import Path
@@ -33,7 +33,7 @@ from .descriptor import (
     node_feature_vectors,
 )
 from .fea import SingularStructureError, extract_demands, solve
-from .generator import GridTrussParams, latin_hypercube, sweep
+from .generator import GridTrussParams, free_control_cells, latin_hypercube, sweep
 from .harmonics import DEFAULT_L_MAX, DEFAULT_OVERSAMPLE, build_grid, expand
 from .model import ModelFormatError, TrussModel, UnknownFieldWarning, read_model
 
@@ -145,6 +145,7 @@ def _load_model(path: str) -> TrussModel:
 
 
 def _model_vectors(args, model: TrussModel):
+    """Run the pipeline on a model: its feature vectors, demands and grid."""
     result = solve(model, args.load_case)
     demands = extract_demands(
         model,
@@ -162,7 +163,7 @@ def _model_vectors(args, model: TrussModel):
         amplitude_mode=args.amplitude,
         load_case=result.load_case,
     )
-    return vectors
+    return vectors, demands, grid
 
 
 def _input_vectors(args):
@@ -171,7 +172,8 @@ def _input_vectors(args):
         raise FileNotFoundError(f"input file not found: {args.input}")
     if path.suffix.lower() == ".csv":
         return exports.read_feature_vectors_csv(path)
-    return _model_vectors(args, _load_model(args.input))
+    vectors, _, _ = _model_vectors(args, _load_model(args.input))
+    return vectors
 
 
 def cmd_analyze(args) -> int:
@@ -190,24 +192,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_descriptors(args) -> int:
-    model = _load_model(args.model)
-    result = solve(model, args.load_case)
-    demands = extract_demands(
-        model,
-        result,
-        include_applied_loads=args.include_loads,
-        include_reactions=args.include_reactions,
-    )
-    grid = build_grid(args.lmax, args.oversample)
-    vectors = node_feature_vectors(
-        demands,
-        delta=args.delta,
-        l_max=args.lmax,
-        grid=grid,
-        kernel=args.kernel,
-        amplitude_mode=args.amplitude,
-        load_case=result.load_case,
-    )
+    vectors, demands, grid = _model_vectors(args, _load_model(args.model))
     out = _out_dir(args)
     exports.write_feature_vectors_csv(out / "feature_vectors.csv", vectors)
     if args.write_expansions:
@@ -306,7 +291,6 @@ def cmd_sweep(args) -> int:
         raise FileNotFoundError(f"params file not found: {args.params}")
     params, bounds = _read_sweep_params(path)
     samples = latin_hypercube(args.n, bounds, seed=args.seed)
-    n_jobs = max(1, int(os.environ.get("HARMONODE_THREADS", "1")))
     out = _out_dir(args)
     records = sweep(
         params,
@@ -317,7 +301,6 @@ def cmd_sweep(args) -> int:
         kernel=args.kernel,
         amplitude_mode=args.amplitude,
         oversample=args.oversample,
-        n_jobs=n_jobs,
     )
     solved = [r for r in records if r.status == "ok"]
     if solved:
@@ -335,6 +318,17 @@ def cmd_sweep(args) -> int:
     return 0
 
 
+# How a family file's JSON value becomes a GridTrussParams field, keyed by the
+# field's annotation.
+_FIELD_COERCIONS = {
+    "int": int,
+    "float": float,
+    "str": str,
+    "tuple[tuple[float, ...], ...]": lambda rows: tuple(tuple(float(v) for v in row) for row in rows),
+    "tuple[int, ...] | None": lambda ids: tuple(int(v) for v in ids),
+}
+
+
 def _read_sweep_params(path: Path) -> tuple[GridTrussParams, tuple]:
     try:
         raw = json.loads(path.read_text())
@@ -342,45 +336,40 @@ def _read_sweep_params(path: Path) -> tuple[GridTrussParams, tuple]:
         raise ModelFormatError(f"{path}: invalid JSON: {exc.msg} (offset {exc.pos})") from exc
     if not isinstance(raw, dict):
         raise ModelFormatError(f"{path}: top level must be a JSON object")
-    known = {
-        "nx", "ny", "bay", "depth", "control_heights", "supports",
-        "load_per_node", "load_case", "initial_area", "youngs_modulus", "bounds",
-    }
+    coercions = {f.name: _FIELD_COERCIONS[f.type] for f in dataclasses.fields(GridTrussParams)}
     for key in raw:
-        if key not in known:
+        if key not in coercions and key != "bounds":
             warnings.warn(f"ignoring unknown field {key!r}", UnknownFieldWarning, stacklevel=2)
     try:
-        heights = tuple(tuple(float(v) for v in row) for row in raw["control_heights"])
         params = GridTrussParams(
-            nx=int(raw["nx"]),
-            ny=int(raw["ny"]),
-            bay=float(raw["bay"]),
-            control_heights=heights,
-            depth=float(raw["depth"]),
-            supports=tuple(int(v) for v in raw["supports"]) if "supports" in raw else None,
-            load_per_node=float(raw.get("load_per_node", 20e3)),
-            load_case=str(raw.get("load_case", "gravity")),
-            initial_area=float(raw.get("initial_area", 1e-3)),
-            youngs_modulus=float(raw.get("youngs_modulus", 200e9)),
+            **{name: coerce(raw[name]) for name, coerce in coercions.items() if name in raw}
         )
-    except (KeyError, TypeError) as exc:
+    except TypeError as exc:
         raise ModelFormatError(f"{path}: missing or malformed field: {exc}") from exc
 
-    free = ((len(heights) + 1) // 2) * len(heights[0])
+    free = free_control_cells(params)
     bounds_raw = raw.get("bounds", [0.0, 2.0])
-    if (
-        isinstance(bounds_raw, list)
-        and len(bounds_raw) == 2
-        and all(isinstance(v, (int, float)) for v in bounds_raw)
-    ):
-        bounds = tuple((float(bounds_raw[0]), float(bounds_raw[1])) for _ in range(free))
+    if _is_bound_pair(bounds_raw):
+        pairs = [bounds_raw] * free
+    elif isinstance(bounds_raw, list) and all(_is_bound_pair(pair) for pair in bounds_raw):
+        pairs = bounds_raw
     else:
-        bounds = tuple((float(lo), float(hi)) for lo, hi in bounds_raw)
-        if len(bounds) != free:
-            raise ModelFormatError(
-                f"{path}: expected {free} bound pairs for the symmetric control grid, got {len(bounds)}"
-            )
-    return params, bounds
+        raise ModelFormatError(
+            f"{path}: bounds must be one [lo, hi] pair or a list of [lo, hi] pairs, got {bounds_raw!r}"
+        )
+    if len(pairs) != free:
+        raise ModelFormatError(
+            f"{path}: bounds: expected {free} pairs for the symmetric control grid, got {len(pairs)}"
+        )
+    return params, tuple((float(lo), float(hi)) for lo, hi in pairs)
+
+
+def _is_bound_pair(value) -> bool:
+    return (
+        isinstance(value, list)
+        and len(value) == 2
+        and all(isinstance(v, (int, float)) for v in value)
+    )
 
 
 if __name__ == "__main__":

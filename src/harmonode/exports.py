@@ -14,7 +14,6 @@ from .analysis import ClusterAssignment, Embedding
 from .descriptor import DistanceMatrix, FeatureVector
 from .fea import AnalysisResult
 from .harmonics import HarmonicExpansion
-from .model import TrussModel
 
 
 def fmt_float(value: float) -> str:
@@ -124,9 +123,3 @@ def write_summary_csv(path: Path, entries: dict[str, float | int | str]) -> None
         writer.writerow(["metric", "value"])
         for key, value in entries.items():
             writer.writerow([key, fmt_float(value) if isinstance(value, float) else value])
-
-
-def write_model_file(path: Path, model: TrussModel) -> None:
-    from .model import write_model
-
-    Path(path).write_text(write_model(model))

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import csv
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -25,7 +24,7 @@ import numpy as np
 from . import descriptor
 from .analysis import complexity_score
 from .exports import fmt_float, write_feature_vectors_csv
-from .fea import extract_demands, size_members, solve
+from .fea import SingularStructureError, extract_demands, size_members, solve
 from .harmonics import DEFAULT_L_MAX, DEFAULT_OVERSAMPLE, build_grid
 from .model import Point3, PointLoad, Support, TrussElement, TrussModel, TrussNode, validate
 
@@ -289,28 +288,28 @@ def sweep(
     kernel: str = descriptor.KERNEL_GEODESIC,
     amplitude_mode: str = descriptor.AMPLITUDE_MAGNITUDE,
     oversample: float = DEFAULT_OVERSAMPLE,
-    sizing: dict | None = None,
-    n_jobs: int = 1,
 ) -> list[SweepRecord]:
-    """Run the full pipeline over every sampled design.
+    """Run the full pipeline over every sampled design, in sample order.
 
     Per sample: generate, strength-size, solve, extract demands, build
     feature vectors, and score complexity. Results land in out_dir as
     sweep.csv (one row per design) plus one feature-vector file per design.
-    Failed samples are tagged in the status column and the sweep continues.
+    A sample that raises ValueError, ArithmeticError or SingularStructureError
+    is tagged "error: <message>" in the status column and the sweep
+    continues; any other exception is a programming error and propagates.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     grid = build_grid(l_max, oversample)
-    sizing_kwargs = dict(sizing or {})
 
-    def run_one(index: int) -> SweepRecord:
+    records = []
+    for index in range(samples.n_samples):
         vector = tuple(float(v) for v in samples.samples[index])
         features_name = f"sample_{index:03d}_features.csv"
         try:
             design = apply_control_sample(params, vector)
             model = generate_grid_truss(design)
-            sized = size_members(model, load_case=design.load_case, **sizing_kwargs)
+            sized = size_members(model, load_case=design.load_case)
             result = solve(sized.model, design.load_case)
             demands = extract_demands(sized.model, result)
             vectors = descriptor.node_feature_vectors(
@@ -324,7 +323,7 @@ def sweep(
             )
             radius = complexity_score(vectors)
             write_feature_vectors_csv(out / features_name, vectors)
-            return SweepRecord(
+            record = SweepRecord(
                 sample_id=index,
                 parameters=vector,
                 mass_kg=sized.total_mass,
@@ -333,8 +332,8 @@ def sweep(
                 status="ok",
                 features_path=features_name,
             )
-        except Exception as exc:  # per-sample failures must not stop the sweep
-            return SweepRecord(
+        except (ValueError, ArithmeticError, SingularStructureError) as exc:
+            record = SweepRecord(
                 sample_id=index,
                 parameters=vector,
                 mass_kg=None,
@@ -343,13 +342,7 @@ def sweep(
                 status=f"error: {exc}",
                 features_path=None,
             )
-
-    indices = range(samples.n_samples)
-    if n_jobs > 1:
-        with ThreadPoolExecutor(max_workers=n_jobs) as pool:
-            records = list(pool.map(run_one, indices))
-    else:
-        records = [run_one(i) for i in indices]
+        records.append(record)
 
     write_sweep_csv(out / "sweep.csv", records)
     return records

@@ -249,6 +249,27 @@ def expand(samples: SphericalSamples, l_max: int) -> HarmonicExpansion:
     return HarmonicExpansion(l_max=l_max, coefficients=coeffs, grid=grid)
 
 
+def _order_sums(expansion: HarmonicExpansion, plm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sum the series over degrees for each order: h_m = sum_l c_lm P_lm.
+
+    plm is a Legendre table of shape (l_max+1, l_max+1, n_points). Returns
+    the cosine and sine parts, each of shape (l_max+1, n_points), with the
+    sqrt(2) of the real basis folded in; the series is then
+    sum_m h_cos[m] cos(m phi) + h_sin[m] sin(m phi).
+    """
+    l_max = expansion.l_max
+    root2 = math.sqrt(2.0)
+    h_cos = np.zeros((l_max + 1, plm.shape[-1]))
+    h_sin = np.zeros((l_max + 1, plm.shape[-1]))
+    for l in range(l_max + 1):
+        base = l * l + l
+        h_cos[0] += expansion.coefficients[base] * plm[l, 0]
+        for m in range(1, l + 1):
+            h_cos[m] += root2 * expansion.coefficients[base + m] * plm[l, m]
+            h_sin[m] += root2 * expansion.coefficients[base - m] * plm[l, m]
+    return h_cos, h_sin
+
+
 def reconstruct(expansion: HarmonicExpansion, theta, phi):
     """Evaluate the truncated series sum_l sum_m a_lm Y_lm at (theta, phi)."""
     theta = np.asarray(theta, dtype=float)
@@ -256,36 +277,17 @@ def reconstruct(expansion: HarmonicExpansion, theta, phi):
     shape = np.broadcast_shapes(theta.shape, phi.shape)
     theta_b = np.broadcast_to(theta, shape).ravel()
     phi_b = np.broadcast_to(phi, shape).ravel()
-    table = _legendre_table(expansion.l_max, np.cos(theta_b))
-    out = np.zeros(theta_b.shape)
-    root2 = math.sqrt(2.0)
-    for l in range(expansion.l_max + 1):
-        base = l * l + l
-        out += expansion.coefficients[base] * table[l, 0]
-        for m in range(1, l + 1):
-            plm = table[l, m]
-            out += expansion.coefficients[base + m] * root2 * plm * np.cos(m * phi_b)
-            out += expansion.coefficients[base - m] * root2 * plm * np.sin(m * phi_b)
-    out = out.reshape(shape)
+    h_cos, h_sin = _order_sums(expansion, _legendre_table(expansion.l_max, np.cos(theta_b)))
+    m_phi = np.arange(expansion.l_max + 1)[:, None] * phi_b[None, :]
+    out = (h_cos * np.cos(m_phi) + h_sin * np.sin(m_phi)).sum(axis=0).reshape(shape)
     return out if shape else float(out)
 
 
 def reconstruct_on_grid(expansion: HarmonicExpansion) -> np.ndarray:
     """Synthesize the truncated series on the expansion's own grid."""
     grid = expansion.grid
-    l_max = expansion.l_max
-    cos_t, sin_t = _grid_trig_table(grid.n_phi, l_max)
-    plm = _grid_legendre_table(grid.n_theta, l_max)
-    root2 = math.sqrt(2.0)
-
-    h_cos = np.zeros((l_max + 1, grid.n_theta))
-    h_sin = np.zeros((l_max + 1, grid.n_theta))
-    for l in range(l_max + 1):
-        base = l * l + l
-        h_cos[0] += expansion.coefficients[base] * plm[l, 0]
-        for m in range(1, l + 1):
-            h_cos[m] += root2 * expansion.coefficients[base + m] * plm[l, m]
-            h_sin[m] += root2 * expansion.coefficients[base - m] * plm[l, m]
+    cos_t, sin_t = _grid_trig_table(grid.n_phi, expansion.l_max)
+    h_cos, h_sin = _order_sums(expansion, _grid_legendre_table(grid.n_theta, expansion.l_max))
     return h_cos.T @ cos_t + h_sin.T @ sin_t
 
 

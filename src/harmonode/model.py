@@ -81,21 +81,11 @@ class TrussModel:
     name: str = ""
     enclosure_area: float | None = None
 
-    def node_map(self) -> dict[int, TrussNode]:
-        return {n.id: n for n in self.nodes}
-
     def load_cases(self) -> tuple[str, ...]:
         seen: dict[str, None] = {}
         for load in self.loads:
             seen.setdefault(load.load_case, None)
         return tuple(seen)
-
-
-def element_length(model: TrussModel, element: TrussElement) -> float:
-    nodes = model.node_map()
-    a = nodes[element.start].position
-    b = nodes[element.end].position
-    return math.dist(a.as_tuple(), b.as_tuple())
 
 
 def validate(model: TrussModel) -> list[str]:

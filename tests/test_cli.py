@@ -5,6 +5,7 @@ import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
+import numpy as np
 import pytest
 from conftest import two_bar_closed_form, two_bar_model
 
@@ -129,6 +130,29 @@ class TestDescriptors:
         assert len(rows) == 25  # (l_max + 1)^2 coefficients
         assert list(rows[0]) == ["l", "m", "a_lm"]
 
+    def test_expansions_agree_with_feature_vectors(self, example_model_path, tmp_path):
+        # both products must see every flag: the energies of each node's
+        # coefficient file are that node's feature vector
+        out = tmp_path / "exp"
+        assert (
+            main(
+                [
+                    "descriptors", str(example_model_path), "--write-expansions",
+                    "--kernel", "coordinate", "--amplitude", "signed", "--delta", "5",
+                    "--out", str(out),
+                ]
+            )
+            == 0
+        )
+        vectors = read_csv(out / "feature_vectors.csv")
+        assert vectors
+        for row in vectors:
+            energies = np.zeros(len(row) - 1)
+            for coeff in read_csv(out / f"expansion_{int(row['node_id']):04d}.csv"):
+                energies[int(coeff["l"])] += float(coeff["a_lm"]) ** 2
+            expected = [float(row[f"fv_{l}"]) for l in range(len(energies))]
+            assert np.sqrt(energies) == pytest.approx(expected, rel=0, abs=1e-12)
+
 
 class TestDownstreamCommands:
     def test_distances_outputs(self, two_bar_path, tmp_path):
@@ -211,13 +235,6 @@ class TestSweepCommand:
         assert (out_a / "sweep.csv").read_bytes() == (out_b / "sweep.csv").read_bytes()
         assert_valid_svg(out_a / "biobjective.svg")
 
-    def test_thread_cap_preserves_output(self, family_path, tmp_path, monkeypatch):
-        out_serial, out_threaded = tmp_path / "serial", tmp_path / "threaded"
-        assert main(["sweep", str(family_path), "--n", "3", "--out", str(out_serial)]) == 0
-        monkeypatch.setenv("HARMONODE_THREADS", "3")
-        assert main(["sweep", str(family_path), "--n", "3", "--out", str(out_threaded)]) == 0
-        assert (out_serial / "sweep.csv").read_bytes() == (out_threaded / "sweep.csv").read_bytes()
-
     def test_missing_params_file(self, tmp_path, capsys):
         assert main(["sweep", str(tmp_path / "none.json"), "--out", str(tmp_path)]) == 2
         assert "none.json" in capsys.readouterr().err
@@ -234,6 +251,25 @@ class TestSweepCommand:
             )
         )
         assert main(["sweep", str(path), "--n", "2", "--out", str(tmp_path / "x")]) == 1
+
+    @pytest.mark.parametrize(
+        "bounds",
+        [5, [[0.0, 1.0], None], [[0, 1, 2], [0, 1], [0, 1], [0, 1]], "x"],
+        ids=["number", "null-pair", "triple", "string"],
+    )
+    def test_malformed_bounds_named_in_error(self, tmp_path, capsys, bounds):
+        path = tmp_path / "family.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "nx": 4, "ny": 4, "bay": 2.0, "depth": 1.0,
+                    "control_heights": [[0.0, 0.0], [0.0, 0.0]],
+                    "bounds": bounds,
+                }
+            )
+        )
+        assert main(["sweep", str(path), "--n", "2", "--out", str(tmp_path / "x")]) == 1
+        assert "bounds" in capsys.readouterr().err
 
 
 def test_console_entry_point(two_bar_path, tmp_path):

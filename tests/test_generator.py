@@ -189,6 +189,16 @@ class TestSweep:
         text = (tmp_path / "sweep.csv").read_text()
         assert text.count("error:") == 3
 
+    def test_programming_errors_propagate(self, tmp_path, monkeypatch):
+        def broken(*args, **kwargs):
+            raise TypeError("broken sizing")
+
+        monkeypatch.setattr("harmonode.generator.size_members", broken)
+        params = small_params()
+        samples = latin_hypercube(2, [(0.0, 1.0)] * free_control_cells(params), seed=0)
+        with pytest.raises(TypeError, match="broken sizing"):
+            sweep(params, samples, tmp_path)
+
     def test_flat_design_scores_lower_complexity_than_tapered(self):
         # same plan, same mean top height: parallel chords vs strong taper
         def score(heights):
