@@ -125,73 +125,103 @@ def classical_mds(distances, k: int) -> Embedding:
 
 
 def min_enclosing_ball(points, tol: float = DEFAULT_BALL_TOL, max_iter: int = 200_000) -> BoundingSphere:
-    """Smallest sphere covering all points, to (1 + tol) of the optimum.
+    """Smallest sphere covering all points, certified to within tol of the optimum.
 
-    Iterative refinement of a convex weighting over the points: each step
-    moves weight toward the current farthest point and away from the
-    shallowest supporting point, with exact line search; the certified
-    upper/lower radius gap drives termination. Deterministic given input
-    order. The reported radius is the exact covering radius of the final
-    center, so every point lies inside it.
+    Away-step Frank-Wolfe on the dual (Yildirim, "Two Algorithms for the
+    Minimum Enclosing Ball Problem", SIAM J. Optim. 2008). The points are
+    first centred on their mean, and the mean is added back to the returned
+    center, so a cluster whose radius is tiny next to its distance from the
+    origin (mirror twins, symmetry orbits) keeps its digits. A convex
+    weighting w of the points gives the center c = w @ p. For any center x,
+    max_i |p_i - x|^2 >= w @ |p - x|^2 >= w @ |p - c|^2, so
+    lower = sqrt(w @ |p - c|^2) is a certified lower bound on the optimal
+    radius and upper = max_i |p_i - c| an upper one; computed from the
+    distances themselves, the lower bound cannot cancel.
+
+    Each step moves weight along the direction whose exact line search
+    raises the lower bound most: toward the farthest point, away from the
+    nearest supporting point, or pairwise from one supporting point straight
+    to the farthest one (the partner that gains most). Away and pairwise
+    steps may drop a point from the support. The pairwise step closes thin
+    acute triangles, such as two near-twins and a distant point, on which
+    toward and away steps alone zig-zag for over 200 000 iterations.
+
+    Iteration stops once upper - lower <= tol * upper. The reported radius
+    is the exact covering radius of the final center, computed in centred
+    coordinates, so every point lies inside it. Deterministic given input
+    order. Raises ArithmeticError, naming the point count, the iterations
+    run and the gap reached, if the gap is still open after max_iter steps:
+    no uncertified radius is returned.
     """
     pts, _ = _as_points(points)
     n = pts.shape[0]
     if n == 0:
         raise ValueError("at least one point is required")
-    if n == 1:
-        return BoundingSphere(center=pts[0].copy(), radius=0.0, support=(0,))
+    mean = pts.mean(axis=0)
+    pts = pts - mean
 
-    norms2 = (pts * pts).sum(axis=1)
-    scale = math.sqrt(float(norms2.max())) if norms2.max() > 0 else 1.0
-
-    # Start from the two mutually farthest points found by a double scan.
-    a = int(np.argmax(((pts - pts[0]) ** 2).sum(axis=1)))
-    b = int(np.argmax(((pts - pts[a]) ** 2).sum(axis=1)))
+    # Start from the midpoint of the point farthest from the mean and the
+    # point farthest from that one.
+    a = int(np.argmax((pts * pts).sum(axis=1)))
+    from_a = ((pts - pts[a]) ** 2).sum(axis=1)
+    b = int(np.argmax(from_a))
+    if from_a[b] == 0.0:  # all points coincide
+        return BoundingSphere(center=pts[0] + mean, radius=0.0, support=(0,))
     weights = np.zeros(n)
-    if a == b:  # all points coincide
-        return BoundingSphere(center=pts[0].copy(), radius=0.0, support=(0,))
     weights[a] = weights[b] = 0.5
 
-    center = weights @ pts
-    for _ in range(max_iter):
+    for iteration in range(max_iter + 1):
+        center = weights @ pts
         dist2 = ((pts - center) ** 2).sum(axis=1)
-        lower2 = float(weights @ norms2 - center @ center)
-        upper = math.sqrt(float(dist2.max()))
-        lower = math.sqrt(max(lower2, 0.0))
-        if upper - lower <= tol * upper + 1e-15 * scale:
-            break
-
         far = int(np.argmax(dist2))
+        upper2 = float(dist2[far])
+        lower2 = float(weights @ dist2)
+        upper, lower = math.sqrt(upper2), math.sqrt(lower2)
+        if upper - lower <= tol * upper:
+            break
+        if iteration == max_iter:
+            raise ArithmeticError(
+                f"minimum enclosing ball of {n} points not certified after {max_iter} "
+                f"iterations: relative gap {(upper - lower) / upper:.3e} > tol {tol:g}"
+            )
         support = np.flatnonzero(weights > 0)
         near = int(support[np.argmin(dist2[support])])
-
-        gain = None
-        if near != far:
-            span = pts[far] - pts[near]
-            span2 = float(span @ span)
-            if span2 > 0:
-                step = (dist2[far] - dist2[near]) / (2.0 * span2)
-                step = min(max(step, 0.0), float(weights[near]))
-                if step > 0:
-                    gain = (near, far, step)
-        if gain is None:
-            # fall back to pulling weight toward the farthest point
-            step = (float(dist2[far]) - lower2) / (2.0 * float(dist2[far]))
-            step = min(max(step, 0.0), 1.0)
-            if step == 0.0:
-                break
+        near2, held = float(dist2[near]), float(weights[near])
+        toward = _line_search(upper2 - lower2, upper2, 1.0)
+        away = _line_search(lower2 - near2, near2, held / (1.0 - held) if held < 1.0 else 0.0)
+        # Pairwise: weight moves from one supporting point straight to the
+        # farthest one; the partner is the one with the largest exact gain.
+        slope = upper2 - dist2[support]
+        curvature = ((pts[support] - pts[far]) ** 2).sum(axis=1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            steps = np.fmin(weights[support], slope / (2.0 * curvature))
+        gains = steps * slope - steps * steps * curvature
+        partner = int(np.argmax(gains))
+        source = int(support[partner])
+        pairwise = (float(gains[partner]), float(steps[partner]), steps[partner] == weights[source])
+        best = max(toward, away, pairwise)
+        _, step, drop = best
+        if best is toward:
             weights *= 1.0 - step
             weights[far] += step
+        elif best is away:
+            weights *= 1.0 + step
+            weights[near] = 0.0 if drop else weights[near] - step
         else:
-            near_i, far_i, step = gain
-            weights[near_i] -= step
-            weights[far_i] += step
-        center = weights @ pts
+            weights[source] = 0.0 if drop else weights[source] - step
+            weights[far] += step
 
-    dist2 = ((pts - center) ** 2).sum(axis=1)
-    radius = math.sqrt(float(dist2.max()))
     support = tuple(int(i) for i in np.flatnonzero(weights > 1e-12))
-    return BoundingSphere(center=center, radius=radius, support=support)
+    return BoundingSphere(center=center + mean, radius=upper, support=support)
+
+
+def _line_search(slope: float, curvature: float, cap: float) -> tuple[float, float, bool]:
+    """Step on [0, cap] maximizing gain = step * slope - step**2 * curvature.
+
+    Returns (gain, step, whether the step reached the cap).
+    """
+    step = cap if curvature <= 0.0 else min(cap, max(slope, 0.0) / (2.0 * curvature))
+    return step * slope - step * step * curvature, step, step == cap
 
 
 def complexity_score(vectors, tol: float = DEFAULT_BALL_TOL) -> float:

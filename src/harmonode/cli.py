@@ -340,12 +340,19 @@ def _read_sweep_params(path: Path) -> tuple[GridTrussParams, tuple]:
     for key in raw:
         if key not in coercions and key != "bounds":
             warnings.warn(f"ignoring unknown field {key!r}", UnknownFieldWarning, stacklevel=2)
+    values = {}
+    for name, coerce in coercions.items():
+        if name in raw:
+            try:
+                values[name] = coerce(raw[name])
+            except (TypeError, ValueError) as exc:
+                raise ModelFormatError(f"{path}: field {name!r}: malformed value {raw[name]!r}") from exc
     try:
-        params = GridTrussParams(
-            **{name: coerce(raw[name]) for name, coerce in coercions.items() if name in raw}
-        )
+        params = GridTrussParams(**values)
     except TypeError as exc:
         raise ModelFormatError(f"{path}: missing or malformed field: {exc}") from exc
+    except ValueError as exc:
+        raise ModelFormatError(f"{path}: {exc}") from exc
 
     free = free_control_cells(params)
     bounds_raw = raw.get("bounds", [0.0, 2.0])

@@ -3,6 +3,9 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from harmonode.analysis import (
     classical_mds,
@@ -162,6 +165,34 @@ class TestMinEnclosingBall:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             min_enclosing_ball(np.empty((0, 3)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        lattice=st.integers(2, 8).flatmap(
+            lambda n: arrays(np.int64, (n, 17), elements=st.integers(-10**6, 10**6))
+        ),
+        direction=arrays(np.float64, 17, elements=st.floats(-1.0, 1.0)),
+        base_norm=st.floats(0.0, 1e6),
+        log_scale=st.floats(-8.0, 2.0),
+    )
+    def test_clusters_far_from_origin(self, lattice, direction, base_norm, log_scale):
+        # Mirror twins and symmetry orbits: radii down to 1e-8 at norms up to
+        # 1e6. A small iteration budget turns a stall into an error. Offsets
+        # lie on a 1e-6 lattice in [-1, 1], so squared radii stay normal floats.
+        length = float(np.linalg.norm(direction))
+        base = direction * (base_norm / length) if length > 0 else np.zeros(17)
+        points = base + 10.0**log_scale * (1e-6 * lattice)
+        ball = min_enclosing_ball(points, max_iter=5_000)
+        # The oracle cancels on uncentred points too, so it gets centred ones.
+        oracle = brute_force_ball_radius(points - points.mean(axis=0))
+        assert ball.radius == pytest.approx(oracle, rel=1e-6, abs=0.0)
+        moved = min_enclosing_ball(points - base, max_iter=5_000)
+        assert moved.radius == pytest.approx(ball.radius, rel=2e-7, abs=0.0)
+
+    def test_exhausted_budget_raises(self):
+        points = np.random.default_rng(107).normal(size=(30, 5))
+        with pytest.raises(ArithmeticError, match="30 points"):
+            min_enclosing_ball(points, max_iter=1)
 
 
 class TestComplexityScore:

@@ -271,6 +271,24 @@ class TestSweepCommand:
         assert main(["sweep", str(path), "--n", "2", "--out", str(tmp_path / "x")]) == 1
         assert "bounds" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("nx", "seven"), ("load_per_node", "heavy"), ("bay", None), ("control_heights", 3.0),
+         ("supports", [1, "two"]), ("depth", -1.0)],
+        ids=["nx", "load_per_node", "bay-null", "control_heights", "supports", "depth-negative"],
+    )
+    def test_malformed_field_named_in_error(self, tmp_path, capsys, field, value):
+        path = tmp_path / "family.json"
+        family = {
+            "nx": 4, "ny": 4, "bay": 2.0, "depth": 1.0,
+            "control_heights": [[0.0, 0.0], [0.0, 0.0]],
+        }
+        family[field] = value
+        path.write_text(json.dumps(family))
+        assert main(["sweep", str(path), "--n", "2", "--out", str(tmp_path / "x")]) == 1
+        err = capsys.readouterr().err
+        assert field in err and str(path) in err
+
 
 def test_console_entry_point(two_bar_path, tmp_path):
     result = subprocess.run(
