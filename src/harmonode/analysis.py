@@ -158,7 +158,9 @@ def min_enclosing_ball(points, tol: float = DEFAULT_BALL_TOL, max_iter: int = 20
     if n == 0:
         raise ValueError("at least one point is required")
     mean = pts.mean(axis=0)
-    pts = pts - mean
+    # Exact power-of-two scaling keeps squared distances from overflow and underflow.
+    _, exponent = math.frexp(float(np.abs(pts - mean).max(initial=0.0)))
+    pts = np.ldexp(pts - mean, -exponent)
 
     # Start from the midpoint of the point farthest from the mean and the
     # point farthest from that one.
@@ -166,7 +168,7 @@ def min_enclosing_ball(points, tol: float = DEFAULT_BALL_TOL, max_iter: int = 20
     from_a = ((pts - pts[a]) ** 2).sum(axis=1)
     b = int(np.argmax(from_a))
     if from_a[b] == 0.0:  # all points coincide
-        return BoundingSphere(center=pts[0] + mean, radius=0.0, support=(0,))
+        return BoundingSphere(center=np.ldexp(pts[0], exponent) + mean, radius=0.0, support=(0,))
     weights = np.zeros(n)
     weights[a] = weights[b] = 0.5
 
@@ -212,7 +214,8 @@ def min_enclosing_ball(points, tol: float = DEFAULT_BALL_TOL, max_iter: int = 20
             weights[far] += step
 
     support = tuple(int(i) for i in np.flatnonzero(weights > 1e-12))
-    return BoundingSphere(center=center + mean, radius=upper, support=support)
+    center = np.ldexp(center, exponent) + mean
+    return BoundingSphere(center=center, radius=math.ldexp(upper, exponent), support=support)
 
 
 def _line_search(slope: float, curvature: float, cap: float) -> tuple[float, float, bool]:

@@ -30,7 +30,7 @@ from .descriptor import (
     ForceFunctionSpec,
     build_force_function,
     distance_matrix,
-    node_feature_vectors,
+    energy_vector,
 )
 from .fea import SingularStructureError, extract_demands, solve
 from .generator import GridTrussParams, free_control_cells, latin_hypercube, sweep
@@ -58,45 +58,50 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--delta", type=float, default=DEFAULT_DELTA, help="kernel sharpness (default 20)")
-    common.add_argument("--lmax", type=int, default=DEFAULT_L_MAX, help="max harmonic degree (default 16)")
-    common.add_argument(
+    # Each subcommand accepts only the flag groups it reads.
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--out", default=".", help="output directory (default current)")
+    statics = argparse.ArgumentParser(add_help=False)
+    statics.add_argument("--load-case", default=None, help="load case to analyze")
+    signature = argparse.ArgumentParser(add_help=False)
+    signature.add_argument("--delta", type=float, default=DEFAULT_DELTA, help="kernel sharpness (default 20)")
+    signature.add_argument("--lmax", type=int, default=DEFAULT_L_MAX, help="max harmonic degree (default 16)")
+    signature.add_argument(
         "--kernel",
         choices=(KERNEL_COORDINATE, KERNEL_GEODESIC),
         default=KERNEL_GEODESIC,
         help="force-function kernel (default geodesic)",
     )
-    common.add_argument(
+    signature.add_argument(
         "--amplitude",
         choices=(AMPLITUDE_MAGNITUDE, AMPLITUDE_SIGNED),
         default=AMPLITUDE_MAGNITUDE,
         help="bump amplitudes: magnitudes or signed by sense (default magnitude)",
     )
-    common.add_argument(
+    signature.add_argument(
         "--oversample", type=float, default=DEFAULT_OVERSAMPLE, help="quadrature grid oversampling"
     )
-    common.add_argument("--include-loads", action="store_true", help="add applied loads to demands")
-    common.add_argument("--include-reactions", action="store_true", help="add reactions to demands")
-    common.add_argument("--load-case", default=None, help="load case to analyze")
-    common.add_argument("--out", default=".", help="output directory (default current)")
+    demands = argparse.ArgumentParser(add_help=False)
+    demands.add_argument("--include-loads", action="store_true", help="add applied loads to demands")
+    demands.add_argument("--include-reactions", action="store_true", help="add reactions to demands")
+    common = [signature, demands, statics, output]
 
-    p = sub.add_parser("analyze", parents=[common], help="solve one load case, export CSV results")
+    p = sub.add_parser("analyze", parents=[statics, output], help="solve one load case, export CSV results")
     p.add_argument("model", help="path to a .truss.json model")
     p.set_defaults(handler=cmd_analyze)
 
-    p = sub.add_parser("descriptors", parents=[common], help="export per-node feature vectors")
+    p = sub.add_parser("descriptors", parents=common, help="export per-node feature vectors")
     p.add_argument("model", help="path to a .truss.json model")
     p.add_argument(
         "--write-expansions", action="store_true", help="also export per-node coefficient files"
     )
     p.set_defaults(handler=cmd_descriptors)
 
-    p = sub.add_parser("distances", parents=[common], help="pairwise distance matrix + heatmap")
+    p = sub.add_parser("distances", parents=common, help="pairwise distance matrix + heatmap")
     p.add_argument("input", help="model file or feature_vectors.csv")
     p.set_defaults(handler=cmd_distances)
 
-    p = sub.add_parser("mds", parents=[common], help="low-dimensional embedding + scatter")
+    p = sub.add_parser("mds", parents=common, help="low-dimensional embedding + scatter")
     p.add_argument("input", help="model file or feature_vectors.csv")
     p.add_argument("--dims", type=int, default=2, help="embedding dimension (default 2)")
     p.add_argument(
@@ -107,17 +112,17 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(handler=cmd_mds)
 
-    p = sub.add_parser("cluster", parents=[common], help="k-means grouping of node signatures")
+    p = sub.add_parser("cluster", parents=common, help="k-means grouping of node signatures")
     p.add_argument("input", help="model file or feature_vectors.csv")
     p.add_argument("--k", type=int, default=10, help="number of clusters (default 10)")
     p.add_argument("--seed", type=int, default=0, help="clustering seed (default 0)")
     p.set_defaults(handler=cmd_cluster)
 
-    p = sub.add_parser("complexity", parents=[common], help="minimal enclosing sphere radius")
+    p = sub.add_parser("complexity", parents=common, help="minimal enclosing sphere radius")
     p.add_argument("input", help="model file or feature_vectors.csv")
     p.set_defaults(handler=cmd_complexity)
 
-    p = sub.add_parser("sweep", parents=[common], help="design-space study over sampled variants")
+    p = sub.add_parser("sweep", parents=[signature, output], help="design-space study over sampled variants")
     p.add_argument("params", help="JSON file describing the parametric family")
     p.add_argument("--n", type=int, default=20, help="number of sampled designs (default 20)")
     p.add_argument("--seed", type=int, default=0, help="sampling seed (default 0)")
@@ -144,8 +149,12 @@ def _load_model(path: str) -> TrussModel:
     return model
 
 
-def _model_vectors(args, model: TrussModel):
-    """Run the pipeline on a model: its feature vectors, demands and grid."""
+def _model_signatures(args, model: TrussModel):
+    """Run the pipeline on a model: its feature vectors and, by node, expansions.
+
+    Each force function is built and expanded once; the feature vector takes
+    its energies from that same expansion.
+    """
     result = solve(model, args.load_case)
     demands = extract_demands(
         model,
@@ -154,16 +163,10 @@ def _model_vectors(args, model: TrussModel):
         include_reactions=args.include_reactions,
     )
     grid = build_grid(args.lmax, args.oversample)
-    vectors = node_feature_vectors(
-        demands,
-        delta=args.delta,
-        l_max=args.lmax,
-        grid=grid,
-        kernel=args.kernel,
-        amplitude_mode=args.amplitude,
-        load_case=result.load_case,
-    )
-    return vectors, demands, grid
+    specs = [ForceFunctionSpec(d, args.delta, args.kernel, args.amplitude) for d in demands]
+    expansions = {s.demand.node: expand(build_force_function(s, grid), args.lmax) for s in specs}
+    vectors = [energy_vector(e, node, result.load_case) for node, e in expansions.items()]
+    return vectors, expansions
 
 
 def _input_vectors(args):
@@ -172,7 +175,7 @@ def _input_vectors(args):
         raise FileNotFoundError(f"input file not found: {args.input}")
     if path.suffix.lower() == ".csv":
         return exports.read_feature_vectors_csv(path)
-    vectors, _, _ = _model_vectors(args, _load_model(args.input))
+    vectors, _ = _model_signatures(args, _load_model(args.input))
     return vectors
 
 
@@ -192,16 +195,12 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_descriptors(args) -> int:
-    vectors, demands, grid = _model_vectors(args, _load_model(args.model))
+    vectors, expansions = _model_signatures(args, _load_model(args.model))
     out = _out_dir(args)
     exports.write_feature_vectors_csv(out / "feature_vectors.csv", vectors)
     if args.write_expansions:
-        for demand in demands:
-            spec = ForceFunctionSpec(
-                demand=demand, delta=args.delta, kernel=args.kernel, amplitude_mode=args.amplitude
-            )
-            expansion = expand(build_force_function(spec, grid), args.lmax)
-            exports.write_expansion_csv(out / f"expansion_{demand.node:04d}.csv", expansion)
+        for node, expansion in expansions.items():
+            exports.write_expansion_csv(out / f"expansion_{node:04d}.csv", expansion)
     print(f"wrote {len(vectors)} feature vectors of length {args.lmax + 1}")
     return 0
 
@@ -318,14 +317,22 @@ def cmd_sweep(args) -> int:
     return 0
 
 
+def _integral(value) -> int:
+    """An integer from an integral number; 4.9 is refused, not truncated."""
+    number = int(value)
+    if number != value:
+        raise ValueError(f"{value!r} is not an integer")
+    return number
+
+
 # How a family file's JSON value becomes a GridTrussParams field, keyed by the
 # field's annotation.
 _FIELD_COERCIONS = {
-    "int": int,
+    "int": _integral,
     "float": float,
     "str": str,
     "tuple[tuple[float, ...], ...]": lambda rows: tuple(tuple(float(v) for v in row) for row in rows),
-    "tuple[int, ...] | None": lambda ids: tuple(int(v) for v in ids),
+    "tuple[int, ...] | None": lambda ids: tuple(_integral(v) for v in ids),
 }
 
 
@@ -345,7 +352,7 @@ def _read_sweep_params(path: Path) -> tuple[GridTrussParams, tuple]:
         if name in raw:
             try:
                 values[name] = coerce(raw[name])
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, OverflowError) as exc:
                 raise ModelFormatError(f"{path}: field {name!r}: malformed value {raw[name]!r}") from exc
     try:
         params = GridTrussParams(**values)

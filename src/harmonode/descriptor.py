@@ -29,6 +29,7 @@ import numpy as np
 from .fea import COMPRESSION, TENSION, DemandEntry, NodalDemand
 from .harmonics import (
     DEFAULT_L_MAX,
+    HarmonicExpansion,
     QuadratureGrid,
     SphericalSamples,
     build_grid,
@@ -176,11 +177,16 @@ def feature_vector(
     if grid is None:
         grid = build_grid(l_max)
     spec = ForceFunctionSpec(demand=demand, delta=delta, kernel=kernel, amplitude_mode=amplitude_mode)
-    samples = build_force_function(spec, grid)
-    energies = frequency_energies(expand(samples, l_max))
-    return FeatureVector(
-        components=tuple(float(e) for e in energies), node=demand.node, load_case=load_case
-    )
+    expansion = expand(build_force_function(spec, grid), l_max)
+    return energy_vector(expansion, demand.node, load_case)
+
+
+def energy_vector(
+    expansion: HarmonicExpansion, node: int | None = None, load_case: str | None = None
+) -> FeatureVector:
+    """A node's feature vector: the per-degree energies of its expansion."""
+    energies = frequency_energies(expansion)
+    return FeatureVector(components=tuple(float(e) for e in energies), node=node, load_case=load_case)
 
 
 def node_feature_vectors(

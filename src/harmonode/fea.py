@@ -122,20 +122,19 @@ def solve(model: TrussModel, load_case: str | None = None) -> AnalysisResult:
     pos = np.array([n.position.as_tuple() for n in model.nodes])
     n_dof = 3 * len(node_ids)
 
+    # Batched (1x3)(3x1) products round like np.linalg.norm's 1-D dot.
+    ends = np.array([(index[e.start], index[e.end]) for e in model.elements], dtype=int).reshape(-1, 2)
+    span = pos[ends[:, 1]] - pos[ends[:, 0]]
+    length = np.sqrt(span[:, None, :] @ span[:, :, None])[:, 0, 0]
+    unit = span / length[:, None]
+    stiffness = np.array([el.youngs_modulus * el.area for el in model.elements]) / length
+
+    # Each member adds k * [[uu', -uu'], [-uu', uu']] at its two nodes' DOFs.
+    grad = np.hstack([-unit, unit])
+    dofs = np.hstack([3 * ends[:, :1] + np.arange(3), 3 * ends[:, 1:] + np.arange(3)])
+    blocks = stiffness[:, None, None] * (grad[:, :, None] * grad[:, None, :])
     K = np.zeros((n_dof, n_dof))
-    units = {}
-    for el in model.elements:
-        i, j = index[el.start], index[el.end]
-        d = pos[j] - pos[i]
-        length = float(np.linalg.norm(d))
-        unit = d / length
-        units[el.id] = (i, j, unit, length)
-        k_block = (el.youngs_modulus * el.area / length) * np.outer(unit, unit)
-        si, sj = slice(3 * i, 3 * i + 3), slice(3 * j, 3 * j + 3)
-        K[si, si] += k_block
-        K[sj, sj] += k_block
-        K[si, sj] -= k_block
-        K[sj, si] -= k_block
+    np.add.at(K, (dofs[:, :, None], dofs[:, None, :]), blocks)
 
     f = np.zeros(n_dof)
     for load in loads:
@@ -143,9 +142,7 @@ def solve(model: TrussModel, load_case: str | None = None) -> AnalysisResult:
 
     fixed = np.zeros(n_dof, dtype=bool)
     for sup in model.supports:
-        for axis, restrained in enumerate(sup.fixed):
-            if restrained:
-                fixed[3 * index[sup.node] + axis] = True
+        fixed[3 * index[sup.node] : 3 * index[sup.node] + 3] |= sup.fixed
     free = np.flatnonzero(~fixed)
 
     u = np.zeros(n_dof)
@@ -163,23 +160,18 @@ def solve(model: TrussModel, load_case: str | None = None) -> AnalysisResult:
             f"= {_EQUILIBRIUM_RTOL * f_norm:.3e}; the system is badly conditioned"
         )
 
-    axial = {}
-    for el in model.elements:
-        i, j, unit, length = units[el.id]
-        stretch = float((u[3 * j : 3 * j + 3] - u[3 * i : 3 * i + 3]) @ unit)
-        axial[el.id] = el.youngs_modulus * el.area / length * stretch
+    nodal = u.reshape(-1, 3)
+    relative = nodal[ends[:, 1]] - nodal[ends[:, 0]]
+    stretch = (relative[:, None, :] @ unit[:, :, None])[:, 0, 0]
+    axial = dict(zip((el.id for el in model.elements), (stiffness * stretch).tolist()))
 
-    displacements = {
-        nid: Point3(*(u[3 * i : 3 * i + 3])) for nid, i in index.items()
+    displacements = {nid: Point3(*nodal[i]) for nid, i in index.items()}
+    # only restrained components carry reactions; free ones hold solver round-off
+    net = residual.reshape(-1, 3)
+    reactions = {
+        s.node: Point3(*(r if fixed else 0.0 for r, fixed in zip(net[index[s.node]], s.fixed)))
+        for s in model.supports
     }
-    reactions = {}
-    for sup in model.supports:
-        base = 3 * index[sup.node]
-        # only restrained components carry reactions; free components hold
-        # solver round-off, not forces
-        reactions[sup.node] = Point3(
-            *(residual[base + axis] if sup.fixed[axis] else 0.0 for axis in range(3))
-        )
     return AnalysisResult(
         displacements=displacements, axial_forces=axial, reactions=reactions, load_case=case
     )
@@ -190,8 +182,7 @@ def _check_pivots(kff: np.ndarray, free: np.ndarray, node_ids: list[int]) -> Non
     try:
         chol = np.linalg.cholesky(kff)
     except np.linalg.LinAlgError:
-        _raise_singular(kff, threshold, free, node_ids)
-        raise  # unreachable; _raise_singular always raises
+        raise _first_vanishing_pivot(kff, threshold, free, node_ids)
     pivots = np.diag(chol) ** 2
     worst = int(np.argmin(pivots))
     if pivots[worst] <= threshold:
@@ -199,7 +190,7 @@ def _check_pivots(kff: np.ndarray, free: np.ndarray, node_ids: list[int]) -> Non
         raise SingularStructureError(node, axis, float(pivots[worst]))
 
 
-def _raise_singular(kff: np.ndarray, threshold: float, free, node_ids) -> None:
+def _first_vanishing_pivot(kff: np.ndarray, threshold: float, free, node_ids) -> SingularStructureError:
     # Unpivoted symmetric elimination locates the first vanishing pivot.
     a = kff.copy()
     n = a.shape[0]
@@ -213,7 +204,7 @@ def _raise_singular(kff: np.ndarray, threshold: float, free, node_ids) -> None:
         col = a[j + 1 :, j].copy()
         a[j + 1 :, j + 1 :] -= np.outer(col, col) / d
     node, axis = _dof_name(free[bad], node_ids)
-    raise SingularStructureError(node, axis, float(pivot))
+    return SingularStructureError(node, axis, float(pivot))
 
 
 def _dof_name(global_dof: int, node_ids: list[int]) -> tuple[int, str]:
@@ -318,21 +309,17 @@ def size_members(
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     current = model
-    converged = False
-    iterations = 0
-    for _ in range(max_iter):
-        result = solve(current, load_case)
-        iterations += 1
-        worst_change = 0.0
-        new_elements = []
-        for el in current.elements:
-            required = abs(result.axial_forces[el.id]) * safety_factor / yield_stress
-            area = max(min_area, required)
-            worst_change = max(worst_change, abs(area - el.area) / el.area)
-            new_elements.append(replace(el, area=area))
-        current = replace(current, elements=tuple(new_elements))
-        if worst_change <= tol:
-            converged = True
+    areas = np.array([el.area for el in model.elements])
+    for iterations in range(1, max_iter + 1):
+        axial = solve(current, load_case).axial_forces
+        forces = np.array([axial[el.id] for el in current.elements])
+        new_areas = np.maximum(min_area, np.abs(forces) * safety_factor / yield_stress)
+        worst_change = float((np.abs(new_areas - areas) / areas).max(initial=0.0))
+        areas = new_areas
+        elements = tuple(replace(el, area=a) for el, a in zip(current.elements, areas.tolist()))
+        current = replace(current, elements=elements)
+        converged = worst_change <= tol
+        if converged:
             break
     total_mass = model_mass(current, density)
     mass_per_area = (

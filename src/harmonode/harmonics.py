@@ -46,10 +46,6 @@ class QuadratureGrid:
         self.phi = np.arange(self.n_phi) * (2.0 * np.pi / self.n_phi)
         self.delta_phi = 2.0 * np.pi / self.n_phi
 
-    def max_degree(self) -> int:
-        """Largest l_max this grid can expand exactly for band-limited input."""
-        return self.n_theta // 2 - 1
-
     def unit_vectors(self) -> np.ndarray:
         """Cartesian unit vectors of every grid point, shape (n_theta, n_phi, 3)."""
         st = self.sin_theta[:, None]

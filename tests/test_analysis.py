@@ -194,6 +194,25 @@ class TestMinEnclosingBall:
         with pytest.raises(ArithmeticError, match="30 points"):
             min_enclosing_ball(points, max_iter=1)
 
+    def test_tiny_scale_stays_certified(self):
+        # Squared distances near 1e-320 would be subnormal and lose digits.
+        ball = min_enclosing_ball(np.array([[0.0, 0.0, 0.0], [3e-160, 0.0, 0.0]]))
+        assert ball.radius == pytest.approx(1.5e-160, rel=1e-12, abs=0.0)
+        assert ball.center == pytest.approx([1.5e-160, 0.0, 0.0], rel=1e-12, abs=0.0)
+
+    def test_huge_scale_stays_finite(self):
+        # Squared distances near 1e320 would overflow to inf.
+        ball = min_enclosing_ball(np.array([[0.0, 0.0, 0.0], [3e160, 0.0, 0.0]]))
+        assert ball.radius == pytest.approx(1.5e160, rel=1e-12, abs=0.0)
+        assert ball.center == pytest.approx([1.5e160, 0.0, 0.0], rel=1e-12, abs=0.0)
+
+    def test_power_of_two_scaling_is_exact(self):
+        points = np.random.default_rng(109).normal(size=(40, 17))
+        ball = min_enclosing_ball(points)
+        scaled = min_enclosing_ball(points * 2.0**-40)
+        assert scaled.radius == ball.radius * 2.0**-40
+        assert np.array_equal(scaled.center, ball.center * 2.0**-40)
+
 
 class TestComplexityScore:
     def test_identical_vectors_score_zero(self):

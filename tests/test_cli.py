@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from conftest import two_bar_closed_form, two_bar_model
 
+from harmonode import cli, descriptor
 from harmonode.cli import main
 from harmonode.model import write_model
 
@@ -92,6 +93,19 @@ class TestAnalyze:
         # ambiguous without the flag
         assert main(["analyze", str(path), "--out", str(tmp_path / "c")]) == 1
 
+    @pytest.mark.parametrize(
+        "flag",
+        [["--delta", "5"], ["--lmax", "8"], ["--kernel", "coordinate"], ["--amplitude", "signed"],
+         ["--oversample", "2"], ["--include-loads"], ["--include-reactions"]],
+        ids=lambda flag: flag[0],
+    )
+    def test_signature_flags_rejected(self, two_bar_path, tmp_path, capsys, flag):
+        # analyze only solves statics, so it would silently ignore these
+        with pytest.raises(SystemExit) as excinfo:
+            main(["analyze", str(two_bar_path), *flag, "--out", str(tmp_path)])
+        assert excinfo.value.code == 2
+        assert flag[0] in capsys.readouterr().err
+
 
 class TestDescriptors:
     def test_default_emits_17_components(self, two_bar_path, tmp_path):
@@ -129,6 +143,25 @@ class TestDescriptors:
         rows = read_csv(out / "expansion_0000.csv")
         assert len(rows) == 25  # (l_max + 1)^2 coefficients
         assert list(rows[0]) == ["l", "m", "a_lm"]
+
+    def test_expansions_build_each_force_function_once(
+        self, example_model_path, tmp_path, monkeypatch
+    ):
+        calls = []
+        original = descriptor.build_force_function
+
+        def counting(spec, grid):
+            calls.append(spec.demand.node)
+            return original(spec, grid)
+
+        # the CLI binds its own name for the function; count through both
+        for module in (descriptor, cli):
+            if hasattr(module, "build_force_function"):
+                monkeypatch.setattr(module, "build_force_function", counting)
+        argv = ["descriptors", str(example_model_path), "--write-expansions", "--out", str(tmp_path)]
+        assert main(argv) == 0
+        nodes = [int(row["node_id"]) for row in read_csv(tmp_path / "feature_vectors.csv")]
+        assert sorted(calls) == sorted(nodes)
 
     def test_expansions_agree_with_feature_vectors(self, example_model_path, tmp_path):
         # both products must see every flag: the energies of each node's
@@ -235,6 +268,18 @@ class TestSweepCommand:
         assert (out_a / "sweep.csv").read_bytes() == (out_b / "sweep.csv").read_bytes()
         assert_valid_svg(out_a / "biobjective.svg")
 
+    @pytest.mark.parametrize(
+        "flag",
+        [["--include-loads"], ["--include-reactions"], ["--load-case", "gravity"]],
+        ids=lambda flag: flag[0],
+    )
+    def test_demand_flags_rejected(self, family_path, tmp_path, capsys, flag):
+        # sweep sizes and scores every design from its member forces alone
+        with pytest.raises(SystemExit) as excinfo:
+            main(["sweep", str(family_path), "--n", "2", *flag, "--out", str(tmp_path)])
+        assert excinfo.value.code == 2
+        assert flag[0] in capsys.readouterr().err
+
     def test_missing_params_file(self, tmp_path, capsys):
         assert main(["sweep", str(tmp_path / "none.json"), "--out", str(tmp_path)]) == 2
         assert "none.json" in capsys.readouterr().err
@@ -274,8 +319,9 @@ class TestSweepCommand:
     @pytest.mark.parametrize(
         "field, value",
         [("nx", "seven"), ("load_per_node", "heavy"), ("bay", None), ("control_heights", 3.0),
-         ("supports", [1, "two"]), ("depth", -1.0)],
-        ids=["nx", "load_per_node", "bay-null", "control_heights", "supports", "depth-negative"],
+         ("supports", [1, "two"]), ("depth", -1.0), ("nx", 4.9), ("nx", float("inf"))],
+        ids=["nx", "load_per_node", "bay-null", "control_heights", "supports", "depth-negative",
+             "nx-fractional", "nx-infinite"],
     )
     def test_malformed_field_named_in_error(self, tmp_path, capsys, field, value):
         path = tmp_path / "family.json"

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from conftest import (
@@ -18,7 +20,19 @@ from harmonode.fea import (
     size_members,
     solve,
 )
+from harmonode.generator import GridTrussParams, apply_control_sample, generate_grid_truss
 from harmonode.model import Point3, PointLoad, Support, TrussModel, write_model
+
+
+def _grid_truss(keep_supports):
+    """The README 7x7 family at controls (0.25, 1.5, 1.75, 0.5), supports edited."""
+    family = GridTrussParams(nx=7, ny=7, bay=3.0, depth=1.0, control_heights=((0.0, 0.0),) * 4)
+    model = generate_grid_truss(apply_control_sample(family, (0.25, 1.5, 1.75, 0.5)))
+    return replace(model, supports=keep_supports(model.supports))
+
+
+def _z_rollers(supports):
+    return tuple(Support(s.node, (False, False, True)) for s in supports)
 
 
 class TestSolve:
@@ -67,13 +81,24 @@ class TestSolve:
             solve(multi)
         assert solve(multi, "wind").load_case == "wind"
 
-    def test_mechanism_names_offending_dof(self):
-        model = two_bar_model(restrain_apex_y=False)
+    @pytest.mark.parametrize(
+        "make_model, node, axis",
+        [
+            (lambda: two_bar_model(restrain_apex_y=False), 2, "y"),
+            # Cholesky fails; unpivoted elimination finds the first vanishing pivot
+            (lambda: _grid_truss(lambda supports: supports[:1]), 83, "z"),
+            # Cholesky succeeds, but a pivot falls below 1e-12 x the largest diagonal
+            (lambda: _grid_truss(_z_rollers), 84, "x"),
+            (lambda: _grid_truss(lambda supports: supports[:2]), 84, "z"),
+        ],
+        ids=["two-bar", "grid-one-support", "grid-z-rollers", "grid-two-supports"],
+    )
+    def test_mechanism_names_offending_dof(self, make_model, node, axis):
         with pytest.raises(SingularStructureError) as excinfo:
-            solve(model)
-        assert excinfo.value.node == 2
-        assert excinfo.value.axis == "y"
-        assert "node 2" in str(excinfo.value)
+            solve(make_model())
+        assert excinfo.value.node == node
+        assert excinfo.value.axis == axis
+        assert f"node {node}" in str(excinfo.value)
 
     def test_reaction_balance(self, flat_model):
         result = solve(flat_model)
