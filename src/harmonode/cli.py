@@ -317,21 +317,33 @@ def cmd_sweep(args) -> int:
     return 0
 
 
+def _is_finite_number(value) -> bool:
+    """A finite JSON number, as in model files: never a string or a boolean."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    return abs(value) <= sys.float_info.max  # false for inf, nan and integers beyond the float range
+
+
+def _finite(value) -> float:
+    if not _is_finite_number(value):
+        raise ValueError(f"{value!r} is not a finite number")
+    return float(value)
+
+
 def _integral(value) -> int:
     """An integer from an integral number; 4.9 is refused, not truncated."""
-    number = int(value)
-    if number != value:
+    if not _is_finite_number(value) or int(value) != value:
         raise ValueError(f"{value!r} is not an integer")
-    return number
+    return int(value)
 
 
 # How a family file's JSON value becomes a GridTrussParams field, keyed by the
 # field's annotation.
 _FIELD_COERCIONS = {
     "int": _integral,
-    "float": float,
+    "float": _finite,
     "str": str,
-    "tuple[tuple[float, ...], ...]": lambda rows: tuple(tuple(float(v) for v in row) for row in rows),
+    "tuple[tuple[float, ...], ...]": lambda rows: tuple(tuple(_finite(v) for v in row) for row in rows),
     "tuple[int, ...] | None": lambda ids: tuple(_integral(v) for v in ids),
 }
 
@@ -382,7 +394,7 @@ def _is_bound_pair(value) -> bool:
     return (
         isinstance(value, list)
         and len(value) == 2
-        and all(isinstance(v, (int, float)) for v in value)
+        and all(_is_finite_number(v) for v in value)
     )
 
 

@@ -14,52 +14,44 @@ from .analysis import ClusterAssignment, Embedding
 from .descriptor import DistanceMatrix, FeatureVector
 from .fea import AnalysisResult
 from .harmonics import HarmonicExpansion
+from .model import Point3
 
 
 def fmt_float(value: float) -> str:
     return repr(float(value))
 
 
-def _open_writer(path: Path):
-    handle = open(path, "w", newline="")
-    return handle, csv.writer(handle)
+def write_csv(path: Path, header: list[str], rows) -> None:
+    """Write the header row, then every row of an iterable, to a new CSV file."""
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _point_rows(points: dict[int, Point3]):
+    return ([nid, fmt_float(p.x), fmt_float(p.y), fmt_float(p.z)] for nid, p in sorted(points.items()))
 
 
 def write_displacements_csv(path: Path, result: AnalysisResult) -> None:
-    handle, writer = _open_writer(path)
-    with handle:
-        writer.writerow(["node_id", "ux", "uy", "uz"])
-        for nid in sorted(result.displacements):
-            d = result.displacements[nid]
-            writer.writerow([nid, fmt_float(d.x), fmt_float(d.y), fmt_float(d.z)])
+    write_csv(path, ["node_id", "ux", "uy", "uz"], _point_rows(result.displacements))
 
 
 def write_forces_csv(path: Path, result: AnalysisResult) -> None:
-    handle, writer = _open_writer(path)
-    with handle:
-        writer.writerow(["element_id", "axial_force"])
-        for eid in sorted(result.axial_forces):
-            writer.writerow([eid, fmt_float(result.axial_forces[eid])])
+    rows = ([eid, fmt_float(force)] for eid, force in sorted(result.axial_forces.items()))
+    write_csv(path, ["element_id", "axial_force"], rows)
 
 
 def write_reactions_csv(path: Path, result: AnalysisResult) -> None:
-    handle, writer = _open_writer(path)
-    with handle:
-        writer.writerow(["node_id", "rx", "ry", "rz"])
-        for nid in sorted(result.reactions):
-            r = result.reactions[nid]
-            writer.writerow([nid, fmt_float(r.x), fmt_float(r.y), fmt_float(r.z)])
+    write_csv(path, ["node_id", "rx", "ry", "rz"], _point_rows(result.reactions))
 
 
 def write_feature_vectors_csv(path: Path, vectors: list[FeatureVector]) -> None:
     if not vectors:
         raise ValueError("no feature vectors to write")
-    n_components = len(vectors[0])
-    handle, writer = _open_writer(path)
-    with handle:
-        writer.writerow(["node_id"] + [f"fv_{i}" for i in range(n_components)])
-        for v in vectors:
-            writer.writerow([v.node if v.node is not None else ""] + [fmt_float(c) for c in v.components])
+    header = ["node_id"] + [f"fv_{i}" for i in range(len(vectors[0]))]
+    rows = ([v.node if v.node is not None else ""] + [fmt_float(c) for c in v.components] for v in vectors)
+    write_csv(path, header, rows)
 
 
 def read_feature_vectors_csv(path: Path) -> list[FeatureVector]:
@@ -78,48 +70,34 @@ def read_feature_vectors_csv(path: Path) -> list[FeatureVector]:
 
 
 def write_expansion_csv(path: Path, expansion: HarmonicExpansion) -> None:
-    handle, writer = _open_writer(path)
-    with handle:
-        writer.writerow(["l", "m", "a_lm"])
-        for l, m, a in expansion.rows():
-            writer.writerow([l, m, fmt_float(a)])
+    write_csv(path, ["l", "m", "a_lm"], ([l, m, fmt_float(a)] for l, m, a in expansion.rows()))
 
 
 def write_distance_matrix_csv(path: Path, matrix: DistanceMatrix) -> None:
-    handle, writer = _open_writer(path)
-    with handle:
-        writer.writerow(["node_id"] + [str(nid) for nid in matrix.node_ids])
-        for i, nid in enumerate(matrix.node_ids):
-            writer.writerow([nid] + [fmt_float(v) for v in matrix.values[i]])
+    header = ["node_id"] + [str(nid) for nid in matrix.node_ids]
+    rows = ([nid] + [fmt_float(v) for v in row] for nid, row in zip(matrix.node_ids, matrix.values))
+    write_csv(path, header, rows)
 
 
 def write_embedding_csv(path: Path, embedding: Embedding, node_ids) -> None:
-    handle, writer = _open_writer(path)
-    with handle:
-        writer.writerow(["node_id"] + [f"coord_{i}" for i in range(embedding.k)])
-        for nid, row in zip(node_ids, embedding.coordinates):
-            writer.writerow([nid] + [fmt_float(c) for c in row])
+    header = ["node_id"] + [f"coord_{i}" for i in range(embedding.k)]
+    rows = ([nid] + [fmt_float(c) for c in row] for nid, row in zip(node_ids, embedding.coordinates))
+    write_csv(path, header, rows)
 
 
 def write_clusters_csv(path: Path, assignment: ClusterAssignment) -> None:
-    handle, writer = _open_writer(path)
-    with handle:
-        writer.writerow(["node_id", "cluster"])
-        for nid, label in zip(assignment.node_ids, assignment.labels):
-            writer.writerow([nid, int(label)])
+    rows = ([nid, int(label)] for nid, label in zip(assignment.node_ids, assignment.labels))
+    write_csv(path, ["node_id", "cluster"], rows)
 
 
 def write_cluster_summary_csv(path: Path, assignment: ClusterAssignment) -> None:
-    handle, writer = _open_writer(path)
-    with handle:
-        writer.writerow(["cluster", "size", "radius"])
-        for label, sphere in enumerate(assignment.spheres):
-            writer.writerow([label, int(len(assignment.members(label))), fmt_float(sphere.radius)])
+    rows = (
+        [label, int(len(assignment.members(label))), fmt_float(sphere.radius)]
+        for label, sphere in enumerate(assignment.spheres)
+    )
+    write_csv(path, ["cluster", "size", "radius"], rows)
 
 
 def write_summary_csv(path: Path, entries: dict[str, float | int | str]) -> None:
-    handle, writer = _open_writer(path)
-    with handle:
-        writer.writerow(["metric", "value"])
-        for key, value in entries.items():
-            writer.writerow([key, fmt_float(value) if isinstance(value, float) else value])
+    rows = ([key, fmt_float(value) if isinstance(value, float) else value] for key, value in entries.items())
+    write_csv(path, ["metric", "value"], rows)

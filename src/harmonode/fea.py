@@ -184,10 +184,13 @@ def _check_pivots(kff: np.ndarray, free: np.ndarray, node_ids: list[int]) -> Non
     except np.linalg.LinAlgError:
         raise _first_vanishing_pivot(kff, threshold, free, node_ids)
     pivots = np.diag(chol) ** 2
-    worst = int(np.argmin(pivots))
-    if pivots[worst] <= threshold:
-        node, axis = _dof_name(free[worst], node_ids)
-        raise SingularStructureError(node, axis, float(pivots[worst]))
+    vanishing = np.flatnonzero(pivots <= threshold)
+    if vanishing.size:
+        # The first vanishing pivot, as on the failure path: later ones are
+        # round-off that depends on how the factorization blocks its work.
+        first = vanishing[0]
+        node, axis = _dof_name(free[first], node_ids)
+        raise SingularStructureError(node, axis, float(pivots[first]))
 
 
 def _first_vanishing_pivot(kff: np.ndarray, threshold: float, free, node_ids) -> SingularStructureError:

@@ -14,7 +14,6 @@ tapered designs over a fixed plan.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -23,7 +22,7 @@ import numpy as np
 
 from . import descriptor
 from .analysis import complexity_score
-from .exports import fmt_float, write_feature_vectors_csv
+from .exports import fmt_float, write_csv, write_feature_vectors_csv
 from .fea import SingularStructureError, extract_demands, size_members, solve
 from .harmonics import DEFAULT_L_MAX, DEFAULT_OVERSAMPLE, build_grid
 from .model import Point3, PointLoad, Support, TrussElement, TrussModel, TrussNode, validate
@@ -350,21 +349,16 @@ def sweep(
 
 def write_sweep_csv(path, records: list[SweepRecord]) -> None:
     n_params = len(records[0].parameters) if records else 0
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(
-            ["sample_id"]
-            + [f"p{i}" for i in range(n_params)]
-            + ["mass_kg", "mass_per_area", "complexity_radius", "solver_status"]
-        )
-        for rec in records:
-            writer.writerow(
-                [rec.sample_id]
-                + [fmt_float(p) for p in rec.parameters]
-                + [
-                    fmt_float(rec.mass_kg) if rec.mass_kg is not None else "",
-                    fmt_float(rec.mass_per_area) if rec.mass_per_area is not None else "",
-                    fmt_float(rec.complexity_radius) if rec.complexity_radius is not None else "",
-                    rec.status,
-                ]
-            )
+    header = (
+        ["sample_id"]
+        + [f"p{i}" for i in range(n_params)]
+        + ["mass_kg", "mass_per_area", "complexity_radius", "solver_status"]
+    )
+    rows = (
+        [rec.sample_id]
+        + [fmt_float(p) for p in rec.parameters]
+        + [fmt_float(v) if v is not None else "" for v in (rec.mass_kg, rec.mass_per_area, rec.complexity_radius)]
+        + [rec.status]
+        for rec in records
+    )
+    write_csv(path, header, rows)

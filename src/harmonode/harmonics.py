@@ -45,18 +45,20 @@ class QuadratureGrid:
         self.sin_theta = np.sqrt(np.clip(1.0 - x * x, 0.0, None))
         self.phi = np.arange(self.n_phi) * (2.0 * np.pi / self.n_phi)
         self.delta_phi = 2.0 * np.pi / self.n_phi
-
-    def unit_vectors(self) -> np.ndarray:
-        """Cartesian unit vectors of every grid point, shape (n_theta, n_phi, 3)."""
         st = self.sin_theta[:, None]
-        return np.stack(
+        self._unit_vectors = np.stack(
             [
                 st * np.cos(self.phi)[None, :],
                 st * np.sin(self.phi)[None, :],
-                np.broadcast_to(self.cos_theta[:, None], (self.n_theta, self.n_phi)).copy(),
+                np.broadcast_to(self.cos_theta[:, None], (self.n_theta, self.n_phi)),
             ],
             axis=-1,
         )
+        self._unit_vectors.setflags(write=False)
+
+    def unit_vectors(self) -> np.ndarray:
+        """Cartesian unit vectors of every grid point, shape (n_theta, n_phi, 3), read-only."""
+        return self._unit_vectors
 
     def integrate(self, values: np.ndarray) -> float:
         """Surface integral of grid samples: sum_j sum_k w_j * dphi * f[j, k]."""
@@ -120,10 +122,9 @@ class HarmonicExpansion:
         return float(self.coefficients[l * l + l + m])
 
     def rows(self):
-        """Yield (l, m, a_lm) in storage order, for CSV export."""
-        for l in range(self.l_max + 1):
-            for m in range(-l, l + 1):
-                yield l, m, float(self.coefficients[l * l + l + m])
+        """Iterate (l, m, a_lm) in storage order as Python numbers, for CSV export."""
+        l, m, _ = _degree_order(self.l_max)
+        return zip(l.tolist(), m.tolist(), self.coefficients.tolist())
 
 
 @lru_cache(maxsize=16)
@@ -159,6 +160,35 @@ def _legendre_table(l_max: int, x: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=16)
+def _degree_order(l_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Degree l, order m and basis scale of each flat index l*l + l + m.
+
+    The scale is 1 for m = 0 and sqrt(2) otherwise; m < 0 pairs with
+    sin(|m| phi) and m >= 0 with cos(m phi).
+    """
+    l = np.repeat(np.arange(l_max + 1), 2 * np.arange(l_max + 1) + 1)
+    m = np.arange((l_max + 1) ** 2) - l * l - l
+    scale = np.where(m == 0, 1.0, math.sqrt(2.0))
+    for column in (l, m, scale):
+        column.setflags(write=False)
+    return l, m, scale
+
+
+def _harmonics(l_max: int, theta, phi) -> np.ndarray:
+    """Every real harmonic up to l_max at broadcast (theta, phi).
+
+    The last axis holds the (l_max+1)**2 harmonics in storage order.
+    """
+    theta, phi = np.broadcast_arrays(np.asarray(theta, dtype=float), np.asarray(phi, dtype=float))
+    l, m, scale = _degree_order(l_max)
+    order = np.abs(m)
+    plm = np.moveaxis(_legendre_table(l_max, np.cos(theta)), (0, 1), (-2, -1))[..., l, order]
+    m_phi = phi[..., None] * np.arange(l_max + 1)
+    trig = np.where(m < 0, np.sin(m_phi)[..., order], np.cos(m_phi)[..., order])
+    return scale * plm * trig
+
+
+@lru_cache(maxsize=16)
 def _grid_legendre_table(n_theta: int, l_max: int) -> np.ndarray:
     table = _legendre_table(l_max, _gauss_legendre(n_theta)[0])
     table.setflags(write=False)
@@ -184,16 +214,7 @@ def real_sph_harm(l: int, m: int, theta, phi):
     """
     if l < 0 or abs(m) > l:
         raise ValueError(f"order must satisfy |m| <= l with l >= 0, got (l={l}, m={m})")
-    theta = np.asarray(theta, dtype=float)
-    phi = np.asarray(phi, dtype=float)
-    table = _legendre_table(l, np.cos(theta))
-    plm = table[l, abs(m)]
-    if m == 0:
-        out = plm
-    elif m > 0:
-        out = math.sqrt(2.0) * plm * np.cos(m * phi)
-    else:
-        out = math.sqrt(2.0) * plm * np.sin(-m * phi)
+    out = _harmonics(l, theta, phi)[..., l * l + l + m]
     return out if out.shape else float(out)
 
 
@@ -232,59 +253,29 @@ def expand(samples: SphericalSamples, l_max: int) -> HarmonicExpansion:
     g_sin = samples.values @ sin_t.T * grid.delta_phi
     weighted = plm * grid.weights[None, None, :]  # (l, m, n_theta)
 
-    coeffs = np.zeros((l_max + 1) ** 2)
     a_cos = np.einsum("lmj,jm->lm", weighted, g_cos)
     a_sin = np.einsum("lmj,jm->lm", weighted, g_sin)
-    root2 = math.sqrt(2.0)
-    for l in range(l_max + 1):
-        base = l * l + l
-        coeffs[base] = a_cos[l, 0]
-        for m in range(1, l + 1):
-            coeffs[base + m] = root2 * a_cos[l, m]
-            coeffs[base - m] = root2 * a_sin[l, m]
+    l, m, scale = _degree_order(l_max)
+    order = np.abs(m)
+    coeffs = scale * np.where(m < 0, a_sin[l, order], a_cos[l, order])
     return HarmonicExpansion(l_max=l_max, coefficients=coeffs, grid=grid)
-
-
-def _order_sums(expansion: HarmonicExpansion, plm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sum the series over degrees for each order: h_m = sum_l c_lm P_lm.
-
-    plm is a Legendre table of shape (l_max+1, l_max+1, n_points). Returns
-    the cosine and sine parts, each of shape (l_max+1, n_points), with the
-    sqrt(2) of the real basis folded in; the series is then
-    sum_m h_cos[m] cos(m phi) + h_sin[m] sin(m phi).
-    """
-    l_max = expansion.l_max
-    root2 = math.sqrt(2.0)
-    h_cos = np.zeros((l_max + 1, plm.shape[-1]))
-    h_sin = np.zeros((l_max + 1, plm.shape[-1]))
-    for l in range(l_max + 1):
-        base = l * l + l
-        h_cos[0] += expansion.coefficients[base] * plm[l, 0]
-        for m in range(1, l + 1):
-            h_cos[m] += root2 * expansion.coefficients[base + m] * plm[l, m]
-            h_sin[m] += root2 * expansion.coefficients[base - m] * plm[l, m]
-    return h_cos, h_sin
 
 
 def reconstruct(expansion: HarmonicExpansion, theta, phi):
     """Evaluate the truncated series sum_l sum_m a_lm Y_lm at (theta, phi)."""
-    theta = np.asarray(theta, dtype=float)
-    phi = np.asarray(phi, dtype=float)
-    shape = np.broadcast_shapes(theta.shape, phi.shape)
-    theta_b = np.broadcast_to(theta, shape).ravel()
-    phi_b = np.broadcast_to(phi, shape).ravel()
-    h_cos, h_sin = _order_sums(expansion, _legendre_table(expansion.l_max, np.cos(theta_b)))
-    m_phi = np.arange(expansion.l_max + 1)[:, None] * phi_b[None, :]
-    out = (h_cos * np.cos(m_phi) + h_sin * np.sin(m_phi)).sum(axis=0).reshape(shape)
-    return out if shape else float(out)
+    out = _harmonics(expansion.l_max, theta, phi) @ expansion.coefficients
+    return out if out.shape else float(out)
 
 
 def reconstruct_on_grid(expansion: HarmonicExpansion) -> np.ndarray:
     """Synthesize the truncated series on the expansion's own grid."""
     grid = expansion.grid
+    l, m, scale = _degree_order(expansion.l_max)
+    order = np.abs(m)
+    plm = _grid_legendre_table(grid.n_theta, expansion.l_max)[l, order]
     cos_t, sin_t = _grid_trig_table(grid.n_phi, expansion.l_max)
-    h_cos, h_sin = _order_sums(expansion, _grid_legendre_table(grid.n_theta, expansion.l_max))
-    return h_cos.T @ cos_t + h_sin.T @ sin_t
+    trig = np.where((m < 0)[:, None], sin_t[order], cos_t[order])
+    return ((scale * expansion.coefficients)[:, None] * plm).T @ trig
 
 
 def truncation_error(samples: SphericalSamples, expansion: HarmonicExpansion) -> float:

@@ -299,8 +299,9 @@ class TestSweepCommand:
 
     @pytest.mark.parametrize(
         "bounds",
-        [5, [[0.0, 1.0], None], [[0, 1, 2], [0, 1], [0, 1], [0, 1]], "x"],
-        ids=["number", "null-pair", "triple", "string"],
+        [5, [[0.0, 1.0], None], [[0, 1, 2], [0, 1], [0, 1], [0, 1]], "x",
+         [False, True], [0.0, float("inf")], [float("nan"), 1.0], [0, 10**400]],
+        ids=["number", "null-pair", "triple", "string", "booleans", "infinite", "nan", "beyond-float"],
     )
     def test_malformed_bounds_named_in_error(self, tmp_path, capsys, bounds):
         path = tmp_path / "family.json"
@@ -314,14 +315,19 @@ class TestSweepCommand:
             )
         )
         assert main(["sweep", str(path), "--n", "2", "--out", str(tmp_path / "x")]) == 1
-        assert "bounds" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "bounds" in err and str(path) in err
 
     @pytest.mark.parametrize(
         "field, value",
         [("nx", "seven"), ("load_per_node", "heavy"), ("bay", None), ("control_heights", 3.0),
-         ("supports", [1, "two"]), ("depth", -1.0), ("nx", 4.9), ("nx", float("inf"))],
+         ("supports", [1, "two"]), ("depth", -1.0), ("nx", 4.9), ("nx", float("inf")),
+         ("load_per_node", "1e4"), ("bay", "2.0"), ("bay", True), ("nx", True), ("supports", [True]),
+         ("control_heights", [[True, 0.0], [0.0, 0.0]]), ("load_per_node", float("inf")),
+         ("control_heights", [[float("nan"), 0.0], [0.0, 0.0]])],
         ids=["nx", "load_per_node", "bay-null", "control_heights", "supports", "depth-negative",
-             "nx-fractional", "nx-infinite"],
+             "nx-fractional", "nx-infinite", "load_per_node-string", "bay-string", "bay-bool", "nx-bool",
+             "supports-bool", "control_heights-bool", "load_per_node-infinite", "control_heights-nan"],
     )
     def test_malformed_field_named_in_error(self, tmp_path, capsys, field, value):
         path = tmp_path / "family.json"

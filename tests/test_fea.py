@@ -1,3 +1,7 @@
+import os
+import re
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -15,6 +19,7 @@ from harmonode.fea import (
     COMPRESSION,
     TENSION,
     SingularStructureError,
+    _check_pivots,
     extract_demands,
     model_mass,
     size_members,
@@ -87,8 +92,9 @@ class TestSolve:
             (lambda: two_bar_model(restrain_apex_y=False), 2, "y"),
             # Cholesky fails; unpivoted elimination finds the first vanishing pivot
             (lambda: _grid_truss(lambda supports: supports[:1]), 83, "z"),
-            # Cholesky succeeds, but a pivot falls below 1e-12 x the largest diagonal
-            (lambda: _grid_truss(_z_rollers), 84, "x"),
+            # Cholesky succeeds, but pivots fall below 1e-12 x the largest diagonal;
+            # the first of them is named, whatever the BLAS thread count
+            (lambda: _grid_truss(_z_rollers), 83, "x"),
             (lambda: _grid_truss(lambda supports: supports[:2]), 84, "z"),
         ],
         ids=["two-bar", "grid-one-support", "grid-z-rollers", "grid-two-supports"],
@@ -99,6 +105,29 @@ class TestSolve:
         assert excinfo.value.node == node
         assert excinfo.value.axis == axis
         assert f"node {node}" in str(excinfo.value)
+
+    def test_first_vanishing_pivot_named_when_cholesky_succeeds(self):
+        # argmin of the pivots is index 3; the first vanishing pivot is index 1
+        kff = np.diag([1.0, 1e-20, 1.0, 1e-30, 1.0])
+        with pytest.raises(SingularStructureError) as excinfo:
+            _check_pivots(kff, np.arange(5), [10, 11])
+        assert (excinfo.value.node, excinfo.value.axis) == (10, "y")
+
+    def test_mechanism_diagnosis_independent_of_blas_threads(self, tmp_path):
+        path = tmp_path / "z_rollers.json"
+        path.write_text(write_model(_grid_truss(_z_rollers)))
+        named = set()
+        for threads in ("1", "2"):
+            result = subprocess.run(
+                [sys.executable, "-m", "harmonode.cli", "analyze", str(path), "--out", str(tmp_path / threads)],
+                capture_output=True,
+                text=True,
+                env={**os.environ, "OPENBLAS_NUM_THREADS": threads},
+                timeout=120,
+            )
+            assert result.returncode == 1, result.stderr
+            named.add(re.search(r"near node (\d+) direction (\w)", result.stderr).groups())
+        assert named == {("83", "x")}
 
     def test_reaction_balance(self, flat_model):
         result = solve(flat_model)

@@ -78,6 +78,25 @@ class TestRealSphHarm:
         values = real_sph_harm(4, -2, theta, 0.5)
         assert values.shape == (7,)
         assert values[3] == pytest.approx(real_sph_harm(4, -2, float(theta[3]), 0.5))
+        coeffs = np.random.default_rng(3).normal(size=36)
+        expansion = HarmonicExpansion(l_max=5, coefficients=coeffs, grid=build_grid(5))
+        series = reconstruct(expansion, theta, 0.5)
+        assert series.shape == (7,)
+        point = reconstruct(expansion, float(theta[3]), 0.5)
+        assert isinstance(point, float)
+        assert series[3] == pytest.approx(point)
+
+
+class TestHarmonicExpansion:
+    def test_rows_follow_storage_order(self):
+        l_max = 4
+        coeffs = np.random.default_rng(5).normal(size=(l_max + 1) ** 2)
+        expansion = HarmonicExpansion(l_max=l_max, coefficients=coeffs, grid=build_grid(l_max))
+        rows = list(expansion.rows())
+        assert [(l, m) for l, m, _ in rows] == [(l, m) for l in range(l_max + 1) for m in range(-l, l + 1)]
+        for l, m, a in rows:
+            assert type(l) is int and type(m) is int and type(a) is float
+            assert a == expansion.coefficient(l, m)
 
 
 class TestBuildGrid:
