@@ -28,7 +28,7 @@ from .descriptor import (
     equilibrium_perturbation,
     feature_matrices,
     feature_matrix_distance,
-    feature_vector,
+    node_expansions,
     node_feature_vectors,
 )
 from .fea import (

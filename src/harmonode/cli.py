@@ -27,15 +27,14 @@ from .descriptor import (
     DEFAULT_DELTA,
     KERNEL_COORDINATE,
     KERNEL_GEODESIC,
-    ForceFunctionSpec,
-    build_force_function,
     distance_matrix,
     energy_vector,
+    node_expansions,
 )
 from .fea import SingularStructureError, extract_demands, solve
 from .generator import GridTrussParams, free_control_cells, latin_hypercube, sweep
-from .harmonics import DEFAULT_L_MAX, DEFAULT_OVERSAMPLE, build_grid, expand
-from .model import ModelFormatError, TrussModel, UnknownFieldWarning, read_model
+from .harmonics import DEFAULT_L_MAX, DEFAULT_OVERSAMPLE, build_grid
+from .model import ModelFormatError, TrussModel, UnknownFieldWarning, is_finite_number, read_model
 
 
 def main(argv=None) -> int:
@@ -79,7 +78,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="bump amplitudes: magnitudes or signed by sense (default magnitude)",
     )
     signature.add_argument(
-        "--oversample", type=float, default=DEFAULT_OVERSAMPLE, help="quadrature grid oversampling"
+        "--oversample", type=float, default=DEFAULT_OVERSAMPLE, help="coordinate-kernel grid oversampling"
     )
     demands = argparse.ArgumentParser(add_help=False)
     demands.add_argument("--include-loads", action="store_true", help="add applied loads to demands")
@@ -150,11 +149,7 @@ def _load_model(path: str) -> TrussModel:
 
 
 def _model_signatures(args, model: TrussModel):
-    """Run the pipeline on a model: its feature vectors and, by node, expansions.
-
-    Each force function is built and expanded once; the feature vector takes
-    its energies from that same expansion.
-    """
+    """Run the pipeline on a model: its feature vectors and, by node, the expansions they come from."""
     result = solve(model, args.load_case)
     demands = extract_demands(
         model,
@@ -163,10 +158,9 @@ def _model_signatures(args, model: TrussModel):
         include_reactions=args.include_reactions,
     )
     grid = build_grid(args.lmax, args.oversample)
-    specs = [ForceFunctionSpec(d, args.delta, args.kernel, args.amplitude) for d in demands]
-    expansions = {s.demand.node: expand(build_force_function(s, grid), args.lmax) for s in specs}
-    vectors = [energy_vector(e, node, result.load_case) for node, e in expansions.items()]
-    return vectors, expansions
+    expansions = node_expansions(demands, args.delta, args.lmax, grid, args.kernel, args.amplitude)
+    vectors = [energy_vector(e, d.node, result.load_case) for d, e in zip(demands, expansions)]
+    return vectors, {d.node: e for d, e in zip(demands, expansions)}
 
 
 def _input_vectors(args):
@@ -317,24 +311,23 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def _is_finite_number(value) -> bool:
-    """A finite JSON number, as in model files: never a string or a boolean."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return False
-    return abs(value) <= sys.float_info.max  # false for inf, nan and integers beyond the float range
-
-
 def _finite(value) -> float:
-    if not _is_finite_number(value):
+    if not is_finite_number(value):
         raise ValueError(f"{value!r} is not a finite number")
     return float(value)
 
 
 def _integral(value) -> int:
     """An integer from an integral number; 4.9 is refused, not truncated."""
-    if not _is_finite_number(value) or int(value) != value:
+    if not is_finite_number(value) or int(value) != value:
         raise ValueError(f"{value!r} is not an integer")
     return int(value)
+
+
+def _string(value) -> str:
+    if not isinstance(value, str):
+        raise ValueError(f"{value!r} is not a string")
+    return value
 
 
 # How a family file's JSON value becomes a GridTrussParams field, keyed by the
@@ -342,7 +335,7 @@ def _integral(value) -> int:
 _FIELD_COERCIONS = {
     "int": _integral,
     "float": _finite,
-    "str": str,
+    "str": _string,
     "tuple[tuple[float, ...], ...]": lambda rows: tuple(tuple(_finite(v) for v in row) for row in rows),
     "tuple[int, ...] | None": lambda ids: tuple(_integral(v) for v in ids),
 }
@@ -394,7 +387,7 @@ def _is_bound_pair(value) -> bool:
     return (
         isinstance(value, list)
         and len(value) == 2
-        and all(_is_finite_number(v) for v in value)
+        and all(is_finite_number(v) for v in value)
     )
 
 

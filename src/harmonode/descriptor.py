@@ -14,9 +14,11 @@ invariant (to round-off) only under the isometries of the (theta, phi)
 chart: rotations about z and half-turns about horizontal axes. Under a
 general rotation they change by order one, because a bump's area on the
 sphere scales with sin(theta_i): the degree-0 energy of one unit bump is
-0.0438 at theta_i = pi/2, 0.0379 at pi/3 and 0.0130 at 0.3. The geodesic
-kernel uses the great-circle angle and is isotropic, making the descriptor
-rotation invariant up to quadrature error; it is the default.
+0.0438 at theta_i = pi/2, 0.0379 at pi/3 and 0.0130 at 0.3. It is sampled
+on a quadrature grid and projected. The geodesic kernel, the default, uses
+the great-circle angle gamma and is isotropic, so the descriptor is rotation
+invariant to round-off. It needs no grid: by the Funk-Hecke theorem, the
+coefficients are exactly a_lm = lambda_l * sum_i a_i Y_lm(u_i).
 """
 
 from __future__ import annotations
@@ -32,6 +34,8 @@ from .harmonics import (
     HarmonicExpansion,
     QuadratureGrid,
     SphericalSamples,
+    _degree_order,
+    _harmonics,
     build_grid,
     expand,
     frequency_energies,
@@ -44,23 +48,29 @@ AMPLITUDE_SIGNED = "signed"
 
 DEFAULT_DELTA = 20.0
 
+# Nodes expanded together in closed form; bounds the per-entry harmonic scratch.
+_BLOCK_NODES = 16
+
 
 @dataclass(frozen=True)
 class ForceFunctionSpec:
-    """Recipe for one node's spherical force function."""
+    """Recipe for one node's force function: one bump per demand entry."""
 
     demand: NodalDemand
     delta: float = DEFAULT_DELTA
-    kernel: str = KERNEL_GEODESIC
     amplitude_mode: str = AMPLITUDE_MAGNITUDE
 
     def __post_init__(self):
         if not self.delta > 0:
             raise ValueError(f"delta must be positive, got {self.delta}")
-        if self.kernel not in (KERNEL_COORDINATE, KERNEL_GEODESIC):
-            raise ValueError(f"unknown kernel {self.kernel!r}")
         if self.amplitude_mode not in (AMPLITUDE_MAGNITUDE, AMPLITUDE_SIGNED):
             raise ValueError(f"unknown amplitude mode {self.amplitude_mode!r}")
+
+    def amplitudes(self) -> list[float]:
+        """Bump heights in entry order: magnitudes, or magnitudes signed by sense."""
+        if self.amplitude_mode == AMPLITUDE_MAGNITUDE:
+            return [e.magnitude for e in self.demand.entries]
+        return [e.signed_magnitude() for e in self.demand.entries]
 
 
 @dataclass(frozen=True)
@@ -130,55 +140,75 @@ def wrap_angle(delta_phi):
 
 
 def build_force_function(spec: ForceFunctionSpec, grid: QuadratureGrid) -> SphericalSamples:
-    """Sample the node's force function on a quadrature grid.
+    """Sample the node's coordinate-kernel force function on a quadrature grid.
 
     The function is the sum over demand entries of
-    amplitude_i * exp(-delta * r_i^2), where r_i is either the coordinate
-    offset or the great-circle angle to the entry's direction. An empty
-    demand yields the zero function.
+    amplitude_i * exp(-delta * ((theta - theta_i)^2 + wrapped(phi - phi_i)^2)).
+    An empty demand yields the zero function.
     """
     values = np.zeros((grid.n_theta, grid.n_phi))
-    entries = spec.demand.entries
-    if not entries:
-        return SphericalSamples(grid, values)
-
-    if spec.amplitude_mode == AMPLITUDE_MAGNITUDE:
-        amplitudes = [e.magnitude for e in entries]
-    else:
-        amplitudes = [e.signed_magnitude() for e in entries]
-
-    if spec.kernel == KERNEL_COORDINATE:
-        theta_col = grid.theta[:, None]
-        phi_row = grid.phi[None, :]
-        for entry, amp in zip(entries, amplitudes):
-            theta_i, phi_i = direction_angles(entry.direction)
-            d_theta = theta_col - theta_i
-            d_phi = wrap_angle(phi_row - phi_i)
-            values += amp * np.exp(-spec.delta * (d_theta * d_theta + d_phi * d_phi))
-    else:
-        mesh = grid.unit_vectors()
-        for entry, amp in zip(entries, amplitudes):
-            cos_gap = np.clip(mesh @ np.asarray(entry.direction), -1.0, 1.0)
-            gap = np.arccos(cos_gap)
-            values += amp * np.exp(-spec.delta * gap * gap)
+    theta_col = grid.theta[:, None]
+    phi_row = grid.phi[None, :]
+    for entry, amp in zip(spec.demand.entries, spec.amplitudes()):
+        theta_i, phi_i = direction_angles(entry.direction)
+        d_theta = theta_col - theta_i
+        d_phi = wrap_angle(phi_row - phi_i)
+        values += amp * np.exp(-spec.delta * (d_theta * d_theta + d_phi * d_phi))
     return SphericalSamples(grid, values)
 
 
-def feature_vector(
-    demand: NodalDemand,
+def node_expansions(
+    demands: list[NodalDemand],
     delta: float = DEFAULT_DELTA,
     l_max: int = DEFAULT_L_MAX,
     grid: QuadratureGrid | None = None,
     kernel: str = KERNEL_GEODESIC,
     amplitude_mode: str = AMPLITUDE_MAGNITUDE,
-    load_case: str | None = None,
-) -> FeatureVector:
-    """Demand -> force function -> expansion -> per-degree energies."""
-    if grid is None:
-        grid = build_grid(l_max)
-    spec = ForceFunctionSpec(demand=demand, delta=delta, kernel=kernel, amplitude_mode=amplitude_mode)
-    expansion = expand(build_force_function(spec, grid), l_max)
-    return energy_vector(expansion, demand.node, load_case)
+) -> list[HarmonicExpansion]:
+    """Harmonic expansions of the nodes' force functions, in demand order.
+
+    Geodesic expansions are closed form and ignore grid. Coordinate force
+    functions are sampled on grid (default build_grid(l_max)) and projected.
+    """
+    if kernel not in (KERNEL_COORDINATE, KERNEL_GEODESIC):
+        raise ValueError(f"unknown kernel {kernel!r}")
+    if l_max < 0:
+        raise ValueError(f"l_max must be non-negative, got {l_max}")
+    specs = [ForceFunctionSpec(d, delta, amplitude_mode) for d in demands]
+    if kernel == KERNEL_COORDINATE:
+        grid = build_grid(l_max) if grid is None else grid
+        return [expand(build_force_function(spec, grid), l_max) for spec in specs]
+
+    degree = _degree_order(l_max)[0]
+    eigenvalues = _geodesic_eigenvalues(delta, l_max)[degree]
+    expansions = []
+    for first in range(0, len(specs), _BLOCK_NODES):
+        block = specs[first : first + _BLOCK_NODES]
+        directions = np.array([e.direction for spec in block for e in spec.demand.entries])
+        x, y, z = directions.reshape(-1, 3).T
+        amplitudes = np.array([a for spec in block for a in spec.amplitudes()])
+        theta, phi = np.arccos(np.clip(z, -1.0, 1.0)), np.arctan2(y, x)
+        terms = amplitudes[:, None] * _harmonics(l_max, theta, phi)
+        # entries are in node order, so each non-empty node sums one contiguous run
+        counts = np.array([len(spec.demand.entries) for spec in block])
+        filled = counts > 0
+        sums = np.zeros((len(block), degree.size))
+        sums[filled] = np.add.reduceat(terms, (np.cumsum(counts) - counts)[filled], axis=0)
+        expansions += [HarmonicExpansion(l_max, eigenvalues * row) for row in sums]
+    return expansions
+
+
+def _geodesic_eigenvalues(delta: float, l_max: int) -> np.ndarray:
+    """lambda_l = 2 pi * integral over [0, pi] of exp(-delta g^2) P_l(cos g) sin(g) dg.
+
+    Gauss-Legendre in g, not cos(g), whose arccos is ill-conditioned at the
+    bump's peak g = 0. 64 nodes reach round-off up to delta = 50; four per
+    degree resolve P_l at high l_max.
+    """
+    x, w = np.polynomial.legendre.leggauss(max(64, 4 * (l_max + 1)))
+    gamma = 0.5 * np.pi * (x + 1.0)
+    weights = np.pi * np.pi * w * np.exp(-delta * gamma * gamma) * np.sin(gamma)
+    return np.polynomial.legendre.legvander(np.cos(gamma), l_max).T @ weights
 
 
 def energy_vector(
@@ -198,13 +228,9 @@ def node_feature_vectors(
     amplitude_mode: str = AMPLITUDE_MAGNITUDE,
     load_case: str | None = None,
 ) -> list[FeatureVector]:
-    """Feature vectors for many demands over one shared grid."""
-    if grid is None:
-        grid = build_grid(l_max)
-    return [
-        feature_vector(d, delta, l_max, grid, kernel, amplitude_mode, load_case)
-        for d in demands
-    ]
+    """Feature vectors of many demands: the energies of their node_expansions."""
+    expansions = node_expansions(demands, delta, l_max, grid, kernel, amplitude_mode)
+    return [energy_vector(e, d.node, load_case) for d, e in zip(demands, expansions)]
 
 
 def distance(a: FeatureVector, b: FeatureVector) -> float:

@@ -39,26 +39,10 @@ class QuadratureGrid:
         self.n_theta = int(n_theta)
         self.n_phi = int(n_phi)
         x, w = _gauss_legendre(self.n_theta)
-        self.cos_theta = x
         self.weights = w
         self.theta = np.arccos(np.clip(x, -1.0, 1.0))
-        self.sin_theta = np.sqrt(np.clip(1.0 - x * x, 0.0, None))
         self.phi = np.arange(self.n_phi) * (2.0 * np.pi / self.n_phi)
         self.delta_phi = 2.0 * np.pi / self.n_phi
-        st = self.sin_theta[:, None]
-        self._unit_vectors = np.stack(
-            [
-                st * np.cos(self.phi)[None, :],
-                st * np.sin(self.phi)[None, :],
-                np.broadcast_to(self.cos_theta[:, None], (self.n_theta, self.n_phi)),
-            ],
-            axis=-1,
-        )
-        self._unit_vectors.setflags(write=False)
-
-    def unit_vectors(self) -> np.ndarray:
-        """Cartesian unit vectors of every grid point, shape (n_theta, n_phi, 3), read-only."""
-        return self._unit_vectors
 
     def integrate(self, values: np.ndarray) -> float:
         """Surface integral of grid samples: sum_j sum_k w_j * dphi * f[j, k]."""
@@ -67,13 +51,6 @@ class QuadratureGrid:
     def norm2(self, values: np.ndarray) -> float:
         """L2 norm of grid samples under the quadrature measure."""
         return math.sqrt(max(self.integrate(values * values), 0.0))
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, QuadratureGrid)
-            and self.n_theta == other.n_theta
-            and self.n_phi == other.n_phi
-        )
 
     def __repr__(self) -> str:
         return f"QuadratureGrid({self.n_theta}x{self.n_phi})"
@@ -104,7 +81,6 @@ class HarmonicExpansion:
 
     l_max: int
     coefficients: np.ndarray
-    grid: QuadratureGrid
 
     def __post_init__(self):
         expected = (self.l_max + 1) ** 2
@@ -258,7 +234,7 @@ def expand(samples: SphericalSamples, l_max: int) -> HarmonicExpansion:
     l, m, scale = _degree_order(l_max)
     order = np.abs(m)
     coeffs = scale * np.where(m < 0, a_sin[l, order], a_cos[l, order])
-    return HarmonicExpansion(l_max=l_max, coefficients=coeffs, grid=grid)
+    return HarmonicExpansion(l_max=l_max, coefficients=coeffs)
 
 
 def reconstruct(expansion: HarmonicExpansion, theta, phi):
@@ -267,9 +243,8 @@ def reconstruct(expansion: HarmonicExpansion, theta, phi):
     return out if out.shape else float(out)
 
 
-def reconstruct_on_grid(expansion: HarmonicExpansion) -> np.ndarray:
-    """Synthesize the truncated series on the expansion's own grid."""
-    grid = expansion.grid
+def reconstruct_on_grid(expansion: HarmonicExpansion, grid: QuadratureGrid) -> np.ndarray:
+    """Synthesize the truncated series at every point of a grid."""
     l, m, scale = _degree_order(expansion.l_max)
     order = np.abs(m)
     plm = _grid_legendre_table(grid.n_theta, expansion.l_max)[l, order]
@@ -281,15 +256,13 @@ def reconstruct_on_grid(expansion: HarmonicExpansion) -> np.ndarray:
 def truncation_error(samples: SphericalSamples, expansion: HarmonicExpansion) -> float:
     """Relative L2 residual of the truncated series against the samples.
 
-    Both norms are evaluated with the grid quadrature. Raises ValueError for
-    an identically zero input, whose relative error is undefined.
+    The series is synthesized on the samples' grid and both norms use its
+    quadrature. Raises ValueError for a zero input (relative error undefined).
     """
-    if expansion.grid != samples.grid:
-        raise ValueError("expansion was not built on the samples' grid")
     denom = samples.grid.norm2(samples.values)
     if denom == 0.0:
         raise ValueError("relative truncation error is undefined for a zero function")
-    residual = samples.values - reconstruct_on_grid(expansion)
+    residual = samples.values - reconstruct_on_grid(expansion, samples.grid)
     return samples.grid.norm2(residual) / denom
 
 

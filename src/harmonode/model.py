@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -21,6 +22,13 @@ _NODE_KEYS = ("id", "x", "y", "z")
 _ELEMENT_KEYS = ("id", "start", "end", "area", "youngs_modulus")
 _SUPPORT_KEYS = ("node", "fix")
 _LOAD_KEYS = ("node", "force", "case")
+
+
+def is_finite_number(value) -> bool:
+    """A finite real number, never a string or a boolean; the one rule for model and family files."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    return abs(value) <= sys.float_info.max
 
 
 class ModelFormatError(ValueError):
@@ -41,7 +49,7 @@ class Point3:
         return (self.x, self.y, self.z)
 
     def is_finite(self) -> bool:
-        return math.isfinite(self.x) and math.isfinite(self.y) and math.isfinite(self.z)
+        return all(is_finite_number(c) for c in self.as_tuple())
 
 
 @dataclass(frozen=True)
@@ -127,12 +135,10 @@ def validate(model: TrussModel) -> list[str]:
                     f"element {el.id}: zero-length element "
                     f"(nodes {el.start} and {el.end} coincide)"
                 )
-        if not el.area > 0:
-            report.append(f"element {el.id}: area must be positive, got {el.area}")
-        if not el.youngs_modulus > 0:
-            report.append(
-                f"element {el.id}: youngs_modulus must be positive, got {el.youngs_modulus}"
-            )
+        for field in ("area", "youngs_modulus"):
+            value = getattr(el, field)
+            if not (is_finite_number(value) and value > 0):
+                report.append(f"element {el.id}: {field} must be positive and finite, got {value}")
 
     for sup in sorted(model.supports, key=lambda s: s.node):
         if sup.node not in positions:
@@ -146,8 +152,9 @@ def validate(model: TrussModel) -> list[str]:
         if not load.force.is_finite():
             report.append(f"load {idx}: non-finite force components")
 
-    if model.enclosure_area is not None and not model.enclosure_area > 0:
-        report.append(f"model: enclosure_area must be positive, got {model.enclosure_area}")
+    area = model.enclosure_area
+    if area is not None and not (is_finite_number(area) and area > 0):
+        report.append(f"model: enclosure_area must be positive and finite, got {area}")
 
     unreachable = _unreachable_nodes(model)
     if unreachable:

@@ -5,8 +5,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from harmonode.descriptor import ForceFunctionSpec
 from harmonode.fea import COMPRESSION, TENSION, DemandEntry, NodalDemand
 from harmonode.generator import GridTrussParams, generate_grid_truss
+from harmonode.harmonics import QuadratureGrid, SphericalSamples
 from harmonode.model import Point3, PointLoad, Support, TrussElement, TrussModel, TrussNode
 
 DOCS = Path(__file__).resolve().parent.parent / "docs"
@@ -74,6 +76,29 @@ def flat_benchmark_params(nx=7, ny=7):
     return GridTrussParams(
         nx=nx, ny=ny, bay=3.0, control_heights=((0.0, 0.0), (0.0, 0.0)), depth=1.0
     )
+
+
+def grid_unit_vectors(grid: QuadratureGrid) -> np.ndarray:
+    """Cartesian unit vectors of every grid point, shape (n_theta, n_phi, 3)."""
+    theta, phi = np.meshgrid(grid.theta, grid.phi, indexing="ij")
+    return np.stack(
+        [np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)], axis=-1
+    )
+
+
+def sample_geodesic(spec: ForceFunctionSpec, grid: QuadratureGrid) -> SphericalSamples:
+    """Reference geodesic force function, evaluated point by point on a grid.
+
+    The sum over entries of amplitude_i * exp(-delta * gamma_i^2), gamma_i
+    the great-circle angle to the entry's direction. Expanded on a fine
+    enough grid, it is the oracle for the closed-form geodesic expansion.
+    """
+    mesh = grid_unit_vectors(grid)
+    values = np.zeros((grid.n_theta, grid.n_phi))
+    for entry, amp in zip(spec.demand.entries, spec.amplitudes()):
+        gap = np.arccos(np.clip(mesh @ np.asarray(entry.direction), -1.0, 1.0))
+        values += amp * np.exp(-spec.delta * gap * gap)
+    return SphericalSamples(grid, values)
 
 
 def random_rotation(rng) -> np.ndarray:

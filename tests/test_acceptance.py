@@ -29,7 +29,6 @@ from harmonode.descriptor import (
     ForceFunctionSpec,
     build_force_function,
     equilibrium_perturbation,
-    feature_vector,
     node_feature_vectors,
 )
 from harmonode.fea import COMPRESSION, TENSION, DemandEntry, NodalDemand, extract_demands, size_members, solve
@@ -95,7 +94,7 @@ def test_criterion_02_truncation_error_reproduction(flat_pipeline):
     errors_at_16 = []
     monotone = True
     for demand in demands:
-        spec = ForceFunctionSpec(demand, delta=20.0, kernel=KERNEL_COORDINATE)
+        spec = ForceFunctionSpec(demand, delta=20.0)
         samples = build_force_function(spec, grid)
         curve = [truncation_error(samples, expand(samples, l)) for l in degrees]
         monotone &= all(curve[i + 1] <= curve[i] + 1e-12 for i in range(len(curve) - 1))
@@ -116,10 +115,10 @@ def _rotation_study(kernel: str, sample_rotation) -> float:
     worst = 0.0
     for _ in range(10):
         demand = random_demand(rng)
-        base = feature_vector(demand, grid=grid, kernel=kernel).as_array()
+        base = node_feature_vectors([demand], grid=grid, kernel=kernel)[0].as_array()
         for _ in range(10):
             rotated = rotate_demand(demand, sample_rotation(rng))
-            moved = feature_vector(rotated, grid=grid, kernel=kernel).as_array()
+            moved = node_feature_vectors([rotated], grid=grid, kernel=kernel)[0].as_array()
             worst = max(worst, float((np.abs(moved - base) / np.abs(base)).max()))
     return worst
 
@@ -162,13 +161,13 @@ def test_criterion_04_homogeneity_and_sense_flip():
     flips_identical = True
     for _ in range(5):
         demand = random_demand(rng)
-        base = feature_vector(demand, grid=grid).as_array()
+        base = node_feature_vectors([demand], grid=grid)[0].as_array()
         for c in (0.5, 2.0, 10.0):
             scaled_demand = NodalDemand(
                 demand.node,
                 tuple(DemandEntry(e.direction, e.magnitude * c, e.sense) for e in demand.entries),
             )
-            scaled = feature_vector(scaled_demand, grid=grid).as_array()
+            scaled = node_feature_vectors([scaled_demand], grid=grid)[0].as_array()
             worst_scale = max(worst_scale, float((np.abs(scaled - c * base) / np.abs(c * base)).max()))
         flipped = NodalDemand(
             demand.node,
@@ -178,7 +177,7 @@ def test_criterion_04_homogeneity_and_sense_flip():
                 for e in demand.entries
             ),
         )
-        flips_identical &= feature_vector(flipped, grid=grid).components == tuple(base)
+        flips_identical &= node_feature_vectors([flipped], grid=grid)[0].components == tuple(base)
     ok = worst_scale <= 1e-9 and flips_identical
     report("04", "homogeneity FV(cf)=cFV(f) and sense-flip FV(f)=FV(-f)", ok,
            f"worst scaling deviation = {worst_scale:.3e} (<= 1e-9), flips identical: {flips_identical}")
@@ -360,7 +359,7 @@ def test_criterion_10_smoothness_under_equilibrium_sweep(flat_pipeline):
             worst_residual = max(
                 worst_residual, float(np.linalg.norm(total + (0, 0, -20e3))) / 20e3
             )
-            current = feature_vector(moved, grid=grid).as_array()
+            current = node_feature_vectors([moved], grid=grid)[0].as_array()
             if previous is not None:
                 gaps.append(float(np.linalg.norm(current - previous)))
             previous = current

@@ -158,7 +158,10 @@ class TestDescriptors:
         for module in (descriptor, cli):
             if hasattr(module, "build_force_function"):
                 monkeypatch.setattr(module, "build_force_function", counting)
-        argv = ["descriptors", str(example_model_path), "--write-expansions", "--out", str(tmp_path)]
+        argv = [
+            "descriptors", str(example_model_path), "--write-expansions",
+            "--kernel", "coordinate", "--out", str(tmp_path),
+        ]
         assert main(argv) == 0
         nodes = [int(row["node_id"]) for row in read_csv(tmp_path / "feature_vectors.csv")]
         assert sorted(calls) == sorted(nodes)
@@ -324,10 +327,12 @@ class TestSweepCommand:
          ("supports", [1, "two"]), ("depth", -1.0), ("nx", 4.9), ("nx", float("inf")),
          ("load_per_node", "1e4"), ("bay", "2.0"), ("bay", True), ("nx", True), ("supports", [True]),
          ("control_heights", [[True, 0.0], [0.0, 0.0]]), ("load_per_node", float("inf")),
-         ("control_heights", [[float("nan"), 0.0], [0.0, 0.0]])],
+         ("control_heights", [[float("nan"), 0.0], [0.0, 0.0]]), ("load_case", None), ("load_case", 5),
+         ("load_case", True)],
         ids=["nx", "load_per_node", "bay-null", "control_heights", "supports", "depth-negative",
              "nx-fractional", "nx-infinite", "load_per_node-string", "bay-string", "bay-bool", "nx-bool",
-             "supports-bool", "control_heights-bool", "load_per_node-infinite", "control_heights-nan"],
+             "supports-bool", "control_heights-bool", "load_per_node-infinite", "control_heights-nan",
+             "load_case-null", "load_case-number", "load_case-bool"],
     )
     def test_malformed_field_named_in_error(self, tmp_path, capsys, field, value):
         path = tmp_path / "family.json"

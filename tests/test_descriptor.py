@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from conftest import random_demand, random_rotation, rotate_demand
+from conftest import random_demand, random_rotation, rotate_demand, sample_geodesic
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from harmonode.descriptor import (
+    AMPLITUDE_MAGNITUDE,
     AMPLITUDE_SIGNED,
     KERNEL_COORDINATE,
     KERNEL_GEODESIC,
@@ -17,12 +20,14 @@ from harmonode.descriptor import (
     equilibrium_perturbation,
     feature_matrices,
     feature_matrix_distance,
-    feature_vector,
+    node_expansions,
     node_feature_vectors,
     wrap_angle,
 )
 from harmonode.fea import COMPRESSION, TENSION, DemandEntry, NodalDemand
-from harmonode.harmonics import build_grid
+from harmonode.harmonics import DEFAULT_OVERSAMPLE, build_grid, expand, frequency_energies
+
+SAMPLERS = {KERNEL_COORDINATE: build_force_function, KERNEL_GEODESIC: sample_geodesic}
 
 
 def demand_of(directions, magnitudes, senses=None, node=0):
@@ -55,7 +60,7 @@ class TestBuildForceFunction:
         )
         magnitude = 123.5
         demand = demand_of([direction], [magnitude])
-        samples = build_force_function(ForceFunctionSpec(demand, delta=20.0, kernel=kernel), grid)
+        samples = SAMPLERS[kernel](ForceFunctionSpec(demand, delta=20.0), grid)
         assert samples.values[j, k] == pytest.approx(magnitude, rel=1e-9)
         assert samples.values.max() == pytest.approx(magnitude, rel=1e-9)
 
@@ -67,9 +72,7 @@ class TestBuildForceFunction:
     def test_antipodal_pair_is_point_symmetric(self):
         grid = build_grid(16)
         demand = demand_of([(0.3, -0.5, 0.81), (-0.3, 0.5, -0.81)], [1.0, 1.0])
-        samples = build_force_function(
-            ForceFunctionSpec(demand, delta=20.0, kernel=KERNEL_GEODESIC), grid
-        )
+        samples = sample_geodesic(ForceFunctionSpec(demand, delta=20.0), grid)
         # Gauss-Legendre nodes are symmetric and n_phi is even, so the grid
         # maps onto itself under (theta, phi) -> (pi - theta, phi + pi)
         flipped = samples.values[::-1, :]
@@ -80,9 +83,7 @@ class TestBuildForceFunction:
         grid = build_grid(8)
         direction = np.array([0.6, 0.0, 0.8])
         demand = demand_of([direction], [2.0])
-        samples = build_force_function(
-            ForceFunctionSpec(demand, delta=5.0, kernel=KERNEL_GEODESIC), grid
-        )
+        samples = sample_geodesic(ForceFunctionSpec(demand, delta=5.0), grid)
         j, k = 3, 7
         point = np.array(
             [
@@ -107,15 +108,15 @@ class TestBuildForceFunction:
         demand = demand_of([(1.0, 0.0, 0.0)], [1.0])
         with pytest.raises(ValueError):
             ForceFunctionSpec(demand, delta=0.0)
-        with pytest.raises(ValueError):
-            ForceFunctionSpec(demand, kernel="cubic")
+        with pytest.raises(ValueError, match="kernel"):
+            node_feature_vectors([demand], kernel="cubic")
         with pytest.raises(ValueError):
             ForceFunctionSpec(demand, amplitude_mode="rms")
 
 
 class TestFeatureVector:
     def test_zero_demand_gives_zero_vector(self):
-        fv = feature_vector(NodalDemand(4, ()), l_max=8)
+        fv = node_feature_vectors([NodalDemand(4, ())], l_max=8)[0]
         assert fv.node == 4
         assert all(c == 0.0 for c in fv.components)
         assert len(fv) == 9
@@ -125,14 +126,14 @@ class TestFeatureVector:
         rng = np.random.default_rng(37)
         grid = build_grid(16)
         demand = random_demand(rng)
-        base = feature_vector(demand, grid=grid).as_array()
+        base = node_feature_vectors([demand], grid=grid)[0].as_array()
         scaled_demand = NodalDemand(
             demand.node,
             tuple(
                 DemandEntry(e.direction, e.magnitude * scale, e.sense) for e in demand.entries
             ),
         )
-        scaled = feature_vector(scaled_demand, grid=grid).as_array()
+        scaled = node_feature_vectors([scaled_demand], grid=grid)[0].as_array()
         assert np.allclose(scaled, scale * base, rtol=1e-9, atol=1e-12)
 
     def test_sense_flip_invariance(self):
@@ -150,9 +151,11 @@ class TestFeatureVector:
                 for e in demand.entries
             ),
         )
-        assert feature_vector(demand, grid=grid) == feature_vector(flipped, grid=grid)
-        signed_base = feature_vector(demand, grid=grid, amplitude_mode=AMPLITUDE_SIGNED).as_array()
-        signed_flip = feature_vector(flipped, grid=grid, amplitude_mode=AMPLITUDE_SIGNED).as_array()
+        assert node_feature_vectors([demand], grid=grid) == node_feature_vectors([flipped], grid=grid)
+        signed_base, signed_flip = (
+            v.as_array()
+            for v in node_feature_vectors([demand, flipped], grid=grid, amplitude_mode=AMPLITUDE_SIGNED)
+        )
         assert np.allclose(signed_base, signed_flip, rtol=1e-9, atol=1e-12)
 
     def test_permutation_invariance(self):
@@ -160,8 +163,8 @@ class TestFeatureVector:
         grid = build_grid(16)
         demand = random_demand(rng, n_entries=6)
         shuffled = NodalDemand(demand.node, tuple(reversed(demand.entries)))
-        a = feature_vector(demand, grid=grid).as_array()
-        b = feature_vector(shuffled, grid=grid).as_array()
+        a = node_feature_vectors([demand], grid=grid)[0].as_array()
+        b = node_feature_vectors([shuffled], grid=grid)[0].as_array()
         assert np.allclose(a, b, rtol=1e-12, atol=1e-12)
 
     def test_geodesic_rotation_invariance(self):
@@ -169,9 +172,9 @@ class TestFeatureVector:
         grid = build_grid(16)
         for _ in range(5):
             demand = random_demand(rng)
-            base = feature_vector(demand, grid=grid, kernel=KERNEL_GEODESIC).as_array()
+            base = node_feature_vectors([demand], grid=grid, kernel=KERNEL_GEODESIC)[0].as_array()
             rotated = rotate_demand(demand, random_rotation(rng))
-            moved = feature_vector(rotated, grid=grid, kernel=KERNEL_GEODESIC).as_array()
+            moved = node_feature_vectors([rotated], grid=grid, kernel=KERNEL_GEODESIC)[0].as_array()
             assert np.abs(moved - base).max() <= 1e-6 * np.abs(base).max()
             rel = np.abs(moved - base) / np.abs(base)
             assert rel.max() <= 1e-6
@@ -184,7 +187,7 @@ class TestFeatureVector:
         rng = np.random.default_rng(53)
         grid = build_grid(16)
         demand = random_demand(rng)
-        base = feature_vector(demand, grid=grid, kernel=KERNEL_COORDINATE).as_array()
+        base = node_feature_vectors([demand], grid=grid, kernel=KERNEL_COORDINATE)[0].as_array()
         angle = 1.234
         spin = np.array(
             [
@@ -193,18 +196,108 @@ class TestFeatureVector:
                 [0.0, 0.0, 1.0],
             ]
         )
-        moved = feature_vector(rotate_demand(demand, spin), grid=grid, kernel=KERNEL_COORDINATE)
+        moved = node_feature_vectors([rotate_demand(demand, spin)], grid=grid, kernel=KERNEL_COORDINATE)[0]
         rel = np.abs(moved.as_array() - base) / np.abs(base)
         assert rel.max() <= 1e-9
 
     def test_valence_independence(self):
         grid = build_grid(16)
-        few = feature_vector(demand_of([(1, 0, 0)], [1.0]), grid=grid)
-        many = feature_vector(
-            demand_of([(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, 0, 0)], [1.0] * 4), grid=grid
-        )
+        few = node_feature_vectors([demand_of([(1, 0, 0)], [1.0])], grid=grid)[0]
+        many_demand = demand_of([(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, 0, 0)], [1.0] * 4)
+        many = node_feature_vectors([many_demand], grid=grid)[0]
         assert len(few) == len(many) == 17
         assert distance(few, many) >= 0.0
+
+
+@st.composite
+def random_demands(draw):
+    """1-12 entries at arbitrary unit directions, magnitudes and senses."""
+    n = draw(st.integers(1, 12))
+    entries = []
+    for _ in range(n):
+        z = draw(st.floats(-1.0, 1.0))
+        phi = draw(st.floats(0.0, 2.0 * math.pi))
+        r = math.sqrt(1.0 - z * z)
+        direction = (r * math.cos(phi), r * math.sin(phi), z)
+        magnitude = draw(st.floats(1.0, 1e5))
+        entries.append(DemandEntry(direction, magnitude, draw(st.sampled_from([TENSION, COMPRESSION]))))
+    return NodalDemand(0, tuple(entries))
+
+
+amplitude_modes = st.sampled_from([AMPLITUDE_MAGNITUDE, AMPLITUDE_SIGNED])
+
+
+def oracle_energies(demand, delta, amplitude_mode, oversample):
+    spec = ForceFunctionSpec(demand, delta=delta, amplitude_mode=amplitude_mode)
+    return frequency_energies(expand(sample_geodesic(spec, build_grid(16, oversample)), 16))
+
+
+class TestGeodesicClosedForm:
+    @settings(max_examples=60, deadline=None)
+    @given(demand=random_demands(), delta=st.floats(3.0, 50.0), amplitude_mode=amplitude_modes)
+    def test_matches_sampled_oracle(self, demand, delta, amplitude_mode):
+        # The default grid resolves these bumps far below 1e-12: their
+        # coefficients beyond the rule's exactness degree are below 1e-27.
+        oracle = oracle_energies(demand, delta, amplitude_mode, DEFAULT_OVERSAMPLE)
+        closed = node_feature_vectors([demand], delta=delta, amplitude_mode=amplitude_mode)[0]
+        assert np.abs(closed.as_array() - oracle).max() <= 1e-12 * oracle.max()
+
+    def test_sampled_oracle_converges_to_closed_form_for_wide_bumps(self):
+        # exp(-delta gamma^2) has a conical point at the antipode, of height
+        # ~ delta exp(-delta pi^2) (5e-5 at delta = 1), which a grid rule
+        # resolves only algebraically: below delta = 3 the sampled oracle
+        # itself misses 1e-12. The closed form has no grid, and each doubling
+        # of the grid must take the oracle markedly closer to it.
+        demand = random_demand(np.random.default_rng(67))
+        closed = node_feature_vectors([demand], delta=1.0)[0].as_array()
+        errors = [
+            np.abs(oracle_energies(demand, 1.0, AMPLITUDE_MAGNITUDE, oversample) - closed).max()
+            / closed.max()
+            for oversample in (2.0, 4.0, 8.0)
+        ]
+        assert errors[1] <= errors[0] / 2.0 and errors[2] <= errors[1] / 2.0
+        assert errors[2] <= 1e-10
+
+    @settings(max_examples=60, deadline=None)
+    @example(demand=demand_of([(0, 0, 1), (0, 0, -1)], [1.0, 1.0]), seed=0, delta=50.0,
+             amplitude_mode=AMPLITUDE_MAGNITUDE)
+    @given(
+        demand=random_demands(),
+        seed=st.integers(0, 2**32 - 1),
+        delta=st.floats(1.0, 50.0),
+        amplitude_mode=amplitude_modes,
+    )
+    def test_rotation_invariance(self, demand, seed, delta, amplitude_mode):
+        rotated = rotate_demand(demand, random_rotation(np.random.default_rng(seed)))
+        total = sum(e.magnitude for e in demand.entries)
+        pooled = NodalDemand(0, (DemandEntry((0.0, 0.0, 1.0), total, TENSION),))
+        base, moved, bound = (
+            v.as_array()
+            for v in node_feature_vectors(
+                [demand, rotated, pooled], delta=delta, amplitude_mode=amplitude_mode
+            )
+        )
+        # Componentwise: no degree's energy exceeds that of all force pooled
+        # in one bump (triangle inequality and the addition theorem), and
+        # round-off scales with that bound. A degree whose bumps cancel, as
+        # the odd degrees of a collinear member pair do, keeps only that
+        # round-off, so its own near-zero value cannot be the scale.
+        assert np.all(np.abs(moved - base) <= 1e-12 * bound)
+
+    def test_blocks_and_empty_nodes_match_single_nodes(self):
+        rng = np.random.default_rng(59)
+        demands = [
+            random_demand(rng, node=i) if i % 7 else NodalDemand(i, ()) for i in range(40)
+        ]
+        batched = node_expansions(demands)
+        for demand, expansion in zip(demands, batched):
+            alone = node_expansions([demand])[0]
+            assert np.array_equal(expansion.coefficients, alone.coefficients)
+        assert not batched[0].coefficients.any()
+
+    def test_l_max_validated(self):
+        with pytest.raises(ValueError, match="l_max"):
+            node_expansions([random_demand(np.random.default_rng(61))], l_max=-1)
 
 
 class TestDistances:
@@ -358,7 +451,7 @@ class TestEquilibriumPerturbation:
         steps = 20
         for i in range(steps + 1):
             moved = equilibrium_perturbation(demand, 2, i / steps, applied, target)
-            vectors.append(feature_vector(moved, grid=grid).as_array())
+            vectors.append(node_feature_vectors([moved], grid=grid)[0].as_array())
         gaps = [np.linalg.norm(vectors[i + 1] - vectors[i]) for i in range(steps)]
         scale = max(np.linalg.norm(v) for v in vectors)
         assert max(gaps) <= 0.2 * scale  # small steps stay small

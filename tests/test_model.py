@@ -148,6 +148,22 @@ class TestReadModel:
         with pytest.raises(ModelFormatError, match="missing node 5"):
             read_model(json.dumps(doc))
 
+    @pytest.mark.parametrize(
+        "field, expected",
+        [
+            ("area", "element 0: area must be positive and finite, got inf"),
+            ("youngs_modulus", "element 0: youngs_modulus must be positive and finite, got inf"),
+            ("enclosure_area", "model: enclosure_area must be positive and finite, got inf"),
+        ],
+        ids=["area", "youngs_modulus", "enclosure_area"],
+    )
+    def test_non_finite_value_named(self, field, expected):
+        doc = json.loads(write_model(minimal_model()))
+        owner = doc if field == "enclosure_area" else doc["elements"][0]
+        owner[field] = math.inf
+        with pytest.raises(ModelFormatError, match=expected):
+            read_model(json.dumps(doc))
+
     def test_bytes_input(self):
         model = read_model(write_model(minimal_model()).encode())
         assert len(model.nodes) == 2
