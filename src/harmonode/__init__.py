@@ -16,6 +16,7 @@ from .analysis import (
     complexity_score,
     kmeans,
     min_enclosing_ball,
+    principal_coordinates,
 )
 from .descriptor import (
     DistanceMatrix,

@@ -1,9 +1,12 @@
 """Downstream analytics over node signatures.
 
-Classical multidimensional scaling for low-dimensional views, the minimal
-enclosing hypersphere whose radius scores a design's connection complexity,
-and seeded k-means clustering for connection standardization studies. All
-operations are deterministic for a fixed input order and seed.
+Low-dimensional views, the minimal enclosing hypersphere whose radius
+scores a design's connection complexity, and seeded k-means clustering for
+connection standardization studies. Views of signatures are their principal
+coordinates, from the thin SVD of the centred points: that is classical MDS
+of their Euclidean distances without the n x n matrix (Gower 1966).
+classical_mds embeds a given distance matrix, which need not be Euclidean.
+All operations are deterministic for a fixed input order and seed.
 """
 
 from __future__ import annotations
@@ -21,6 +24,9 @@ DEFAULT_BALL_TOL = 1e-7
 # Above this ratio of |most negative eigenvalue| / largest eigenvalue the
 # distance matrix is flagged as not Euclidean-embeddable.
 _NEGATIVE_EIGENVALUE_NOTE = 1e-6
+# Rows per block of pairwise distances: the differences of a block to every
+# point are a (block, n, d) temporary, never (n, n, d).
+_DISTANCE_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -104,12 +110,7 @@ def classical_mds(distances, k: int) -> Embedding:
     neg_ratio = most_negative / max_eig if max_eig > 0 and most_negative > 0 else 0.0
 
     top = np.clip(eigenvalues[:k], 0.0, None)
-    coordinates = eigenvectors[:, :k] * np.sqrt(top)[None, :]
-    for axis in range(k):
-        column = coordinates[:, axis]
-        pivot = int(np.argmax(np.abs(column)))
-        if column[pivot] < 0:
-            coordinates[:, axis] = -column
+    coordinates = _orient_axes(eigenvectors[:, :k] * np.sqrt(top)[None, :])
 
     deltas = coordinates[:, None, :] - coordinates[None, :, :]
     reconstructed = np.sqrt((deltas * deltas).sum(axis=-1))
@@ -122,6 +123,61 @@ def classical_mds(distances, k: int) -> Embedding:
         stress=stress,
         negative_eigenvalue_ratio=neg_ratio,
     )
+
+
+def principal_coordinates(vectors, k: int) -> Embedding:
+    """Classical MDS of the points' Euclidean distances, from their thin SVD.
+
+    For centred points X = U S V^T, the double-centred squared distances
+    are B = X X^T = U S^2 U^T (Gower 1966), so the top-k coordinates are
+    U[:, :k] * s[:k] and the eigenvalues s[:k]**2, with no n x n matrix.
+    Columns past the rank of the points are zero. Axes follow classical_mds's
+    sign convention, the stress is its relative Frobenius error, computed
+    over row blocks, and the negative-eigenvalue ratio is 0: points always
+    give a Euclidean metric.
+    """
+    points, _ = _as_points(vectors)
+    n = points.shape[0]
+    if not 1 <= k < n:
+        raise ValueError(f"target dimension must satisfy 1 <= k < n={n}, got {k}")
+    u, s, _ = np.linalg.svd(points - points.mean(axis=0), full_matrices=False)
+    # Centring leaves round-off of order eps * |points|: no rank below that.
+    rank = int(np.count_nonzero(s > max(points.shape) * np.finfo(float).eps * np.linalg.norm(points)))
+    kept = min(k, rank)
+    coordinates = np.zeros((n, k))
+    coordinates[:, :kept] = u[:, :kept] * s[:kept]
+    _orient_axes(coordinates)
+    eigenvalues = np.zeros(k)
+    eigenvalues[:kept] = s[:kept] ** 2
+
+    fitted2 = given2 = 0.0
+    for fitted, given in zip(_distance_blocks(coordinates), _distance_blocks(points)):
+        fitted2 += float(((fitted - given) ** 2).sum())
+        given2 += float((given * given).sum())
+    stress = math.sqrt(fitted2 / given2) if given2 > 0 else 0.0
+    return Embedding(
+        coordinates=coordinates,
+        eigenvalues=eigenvalues,
+        stress=stress,
+        negative_eigenvalue_ratio=0.0,
+    )
+
+
+def _orient_axes(coordinates: np.ndarray) -> np.ndarray:
+    """Flip each axis in place so its largest-magnitude entry is positive."""
+    for axis in range(coordinates.shape[1]):
+        column = coordinates[:, axis]
+        pivot = int(np.argmax(np.abs(column)))
+        if column[pivot] < 0:
+            coordinates[:, axis] = -column
+    return coordinates
+
+
+def _distance_blocks(points: np.ndarray):
+    """Euclidean distances from each block of rows to every point, in row order."""
+    for lo in range(0, points.shape[0], _DISTANCE_ROWS):
+        deltas = points[lo : lo + _DISTANCE_ROWS, None, :] - points[None, :, :]
+        yield np.sqrt((deltas * deltas).sum(axis=-1))
 
 
 def min_enclosing_ball(points, tol: float = DEFAULT_BALL_TOL, max_iter: int = 200_000) -> BoundingSphere:

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import exports, svgplot
-from .analysis import classical_mds, complexity_score, kmeans, min_enclosing_ball
+from .analysis import complexity_score, kmeans, min_enclosing_ball, principal_coordinates
 from .descriptor import (
     AMPLITUDE_MAGNITUDE,
     AMPLITUDE_SIGNED,
@@ -213,10 +213,10 @@ def cmd_distances(args) -> int:
 
 def cmd_mds(args) -> int:
     vectors = _input_vectors(args)
-    matrix = distance_matrix(vectors)
-    embedding = classical_mds(matrix, args.dims)
+    embedding = principal_coordinates(vectors, args.dims)
+    node_ids = [v.node if v.node is not None else i for i, v in enumerate(vectors)]
     out = _out_dir(args)
-    exports.write_embedding_csv(out / "mds.csv", embedding, matrix.node_ids)
+    exports.write_embedding_csv(out / "mds.csv", embedding, node_ids)
     if args.dims == 2:
         circles = []
         if args.circle:
@@ -231,7 +231,7 @@ def cmd_mds(args) -> int:
                 y_label="coord 1",
             )
         )
-    print(f"embedded {len(matrix.node_ids)} nodes into {args.dims}D, stress {embedding.stress:.3e}")
+    print(f"embedded {len(vectors)} nodes into {args.dims}D, stress {embedding.stress:.3e}")
     return 0
 
 
@@ -242,7 +242,7 @@ def cmd_cluster(args) -> int:
     exports.write_clusters_csv(out / "clusters.csv", assignment)
     exports.write_cluster_summary_csv(out / "cluster_summary.csv", assignment)
     if len(vectors) > 2:
-        embedding = classical_mds(distance_matrix(vectors), 2)
+        embedding = principal_coordinates(vectors, 2)
         (out / "clusters.svg").write_text(
             svgplot.scatter(
                 embedding.coordinates,
@@ -270,7 +270,7 @@ def cmd_complexity(args) -> int:
         "n_components": len(vectors[0]),
     }
     if len(vectors) > 2:
-        embedding = classical_mds(distance_matrix(vectors), 2)
+        embedding = principal_coordinates(vectors, 2)
         summary["complexity_radius_2d"] = min_enclosing_ball(embedding.coordinates).radius
     out = _out_dir(args)
     exports.write_summary_csv(out / "summary.csv", summary)

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .analysis import _distance_blocks
 from .fea import COMPRESSION, TENSION, DemandEntry, NodalDemand
 from .harmonics import (
     DEFAULT_L_MAX,
@@ -247,9 +248,7 @@ def distance_matrix(vectors: list[FeatureVector]) -> DistanceMatrix:
     lengths = {len(v) for v in vectors}
     if len(lengths) > 1:
         raise ValueError(f"inconsistent feature vector lengths: {sorted(lengths)}")
-    points = np.array([v.components for v in vectors])
-    deltas = points[:, None, :] - points[None, :, :]
-    values = np.sqrt((deltas * deltas).sum(axis=-1))
+    values = np.vstack(list(_distance_blocks(np.array([v.components for v in vectors]))))
     np.fill_diagonal(values, 0.0)
     node_ids = tuple(v.node if v.node is not None else i for i, v in enumerate(vectors))
     return DistanceMatrix(node_ids=node_ids, values=values)

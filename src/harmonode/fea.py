@@ -1,9 +1,11 @@
 """Linear-elastic direct-stiffness analysis of pin-jointed space trusses.
 
 Covers the stiffness solve, per-node axial demand extraction, and the
-iterative strength-based member sizing loop. Dense symmetric solve with a
-pivot-magnitude singularity check (threshold 1e-12 times the largest
-stiffness diagonal), sized for desk-scale models.
+iterative strength-based member sizing loop. The free-DOF stiffness is
+factorized once, by a dense Cholesky that serves both the pivot-magnitude
+singularity check (threshold 1e-12 times the largest stiffness diagonal) and
+the solve, by blocked forward and back substitution; sized for desk-scale
+models.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import Point3, TrussModel
+from .model import Point3, TrussElement, TrussModel
 
 TENSION = "tension"
 COMPRESSION = "compression"
@@ -28,6 +30,8 @@ DEFAULT_MIN_AREA = 400e-6
 _AXES = ("x", "y", "z")
 _PIVOT_RTOL = 1e-12
 _EQUILIBRIUM_RTOL = 1e-8
+# Rows per diagonal block of the triangular solves.
+_SOLVE_BLOCK = 64
 
 
 class SingularStructureError(Exception):
@@ -148,8 +152,7 @@ def solve(model: TrussModel, load_case: str | None = None) -> AnalysisResult:
     u = np.zeros(n_dof)
     if free.size:
         kff = K[np.ix_(free, free)]
-        _check_pivots(kff, free, node_ids)
-        u[free] = np.linalg.solve(kff, f[free])
+        u[free] = _cholesky_solve(_check_pivots(kff, free, node_ids), f[free])
 
     residual = K @ u - f
     f_norm = float(np.linalg.norm(f))
@@ -177,7 +180,8 @@ def solve(model: TrussModel, load_case: str | None = None) -> AnalysisResult:
     )
 
 
-def _check_pivots(kff: np.ndarray, free: np.ndarray, node_ids: list[int]) -> None:
+def _check_pivots(kff: np.ndarray, free: np.ndarray, node_ids: list[int]) -> np.ndarray:
+    """The lower Cholesky factor of kff, once no pivot vanishes."""
     threshold = _PIVOT_RTOL * float(np.max(np.diag(kff), initial=0.0))
     try:
         chol = np.linalg.cholesky(kff)
@@ -191,6 +195,24 @@ def _check_pivots(kff: np.ndarray, free: np.ndarray, node_ids: list[int]) -> Non
         first = vanishing[0]
         node, axis = _dof_name(free[first], node_ids)
         raise SingularStructureError(node, axis, float(pivots[first]))
+    return chol
+
+
+def _cholesky_solve(chol: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve L L^T x = b by forward, then back substitution over row blocks.
+
+    Each diagonal block is solved directly; the rest of a block row enters
+    as one matrix-vector product, so the work stays O(n^2).
+    """
+    x = np.array(b, dtype=float)
+    starts = range(0, x.size, _SOLVE_BLOCK)
+    for lo in starts:
+        hi = lo + _SOLVE_BLOCK
+        x[lo:hi] = np.linalg.solve(chol[lo:hi, lo:hi], x[lo:hi] - chol[lo:hi, :lo] @ x[:lo])
+    for lo in reversed(starts):
+        hi = lo + _SOLVE_BLOCK
+        x[lo:hi] = np.linalg.solve(chol[lo:hi, lo:hi].T, x[lo:hi] - chol[hi:, lo:hi].T @ x[hi:])
+    return x
 
 
 def _first_vanishing_pivot(kff: np.ndarray, threshold: float, free, node_ids) -> SingularStructureError:
@@ -319,7 +341,10 @@ def size_members(
         new_areas = np.maximum(min_area, np.abs(forces) * safety_factor / yield_stress)
         worst_change = float((np.abs(new_areas - areas) / areas).max(initial=0.0))
         areas = new_areas
-        elements = tuple(replace(el, area=a) for el, a in zip(current.elements, areas.tolist()))
+        elements = tuple(
+            TrussElement(el.id, el.start, el.end, a, el.youngs_modulus)
+            for el, a in zip(current.elements, areas.tolist())
+        )
         current = replace(current, elements=elements)
         converged = worst_change <= tol
         if converged:

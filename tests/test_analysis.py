@@ -12,8 +12,9 @@ from harmonode.analysis import (
     complexity_score,
     kmeans,
     min_enclosing_ball,
+    principal_coordinates,
 )
-from harmonode.descriptor import FeatureVector
+from harmonode.descriptor import FeatureVector, distance_matrix
 
 
 def brute_force_ball_radius(points: np.ndarray) -> float:
@@ -120,6 +121,72 @@ class TestClassicalMds:
         for k in (1, 2, 5):
             embedded = min_enclosing_ball(classical_mds(d, k).coordinates).radius
             assert embedded <= full * (1.0 + 1e-6)
+
+
+class TestPrincipalCoordinates:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        lattice=st.tuples(st.integers(3, 40), st.integers(1, 17)).flatmap(
+            lambda shape: arrays(np.int64, shape, elements=st.integers(-1000, 1000))
+        ),
+        log_scale=st.floats(-3.0, 6.0),
+        data=st.data(),
+    )
+    def test_agrees_with_classical_mds_of_distances(self, lattice, log_scale, data):
+        points = 10.0**log_scale * (1e-3 * lattice)
+        n = points.shape[0]
+        k = data.draw(st.integers(1, n - 1), label="k")
+        fitted = principal_coordinates(points, k)
+        reference = classical_mds(distance_matrix([FeatureVector(tuple(p)) for p in points]), k)
+
+        spectrum = np.zeros(n + 1)
+        singular = np.linalg.svd(points - points.mean(axis=0), compute_uv=False)
+        spectrum[: singular.size] = singular**2
+        top = spectrum[0]
+        assert np.abs(fitted.eigenvalues - reference.eigenvalues).max() <= 1e-9 * top
+        assert fitted.negative_eigenvalue_ratio == 0.0
+        if spectrum[k - 1] - spectrum[k] >= 1e-6 * top:
+            # A separated top-k subspace fixes the coordinates up to rotation.
+            gram, gram_ref = (c @ c.T for c in (fitted.coordinates, reference.coordinates))
+            largest = np.abs(reference.coordinates).max()
+            assert np.abs(gram - gram_ref).max() <= 1e-9 * largest**2
+            # Stress is relative to |D| already; at k = rank both are round-off.
+            # Past the rank classical MDS keeps sqrt(round-off) columns, which
+            # move its stress by up to ~1e-8, so only k <= rank is compared.
+            assert fitted.stress == pytest.approx(reference.stress, rel=1e-9, abs=1e-9)
+
+    def test_columns_past_the_rank_are_zero(self):
+        rng = np.random.default_rng(89)
+        plane = rng.normal(size=(12, 2)) @ rng.normal(size=(2, 5))
+        embedding = principal_coordinates(plane, 4)
+        assert np.abs(embedding.coordinates[:, :2]).min() > 0.0
+        assert np.all(embedding.coordinates[:, 2:] == 0.0)
+        assert np.all(embedding.eigenvalues[2:] == 0.0)
+        assert embedding.stress <= 1e-12
+
+    def test_all_equal_points_embed_to_zero(self):
+        embedding = principal_coordinates(np.full((6, 3), 2.5), 2)
+        assert np.all(embedding.coordinates == 0.0)
+        assert np.all(embedding.eigenvalues == 0.0)
+        assert embedding.stress == 0.0
+
+    def test_sign_convention(self):
+        points = np.random.default_rng(97).normal(size=(9, 3))
+        coords = principal_coordinates(points, 3).coordinates
+        for axis in range(3):
+            column = coords[:, axis]
+            assert column[np.argmax(np.abs(column))] > 0.0
+
+    def test_feature_vectors_and_arrays_agree(self):
+        points = np.random.default_rng(101).normal(size=(7, 4))
+        vectors = [FeatureVector(tuple(p), node=10 + i) for i, p in enumerate(points)]
+        first, second = principal_coordinates(vectors, 2), principal_coordinates(points, 2)
+        assert np.array_equal(first.coordinates, second.coordinates)
+
+    @pytest.mark.parametrize("k", [0, 4, 5])
+    def test_invalid_dimension(self, k):
+        with pytest.raises(ValueError, match="1 <= k < n=4"):
+            principal_coordinates(np.random.default_rng(103).normal(size=(4, 3)), k)
 
 
 class TestMinEnclosingBall:

@@ -248,6 +248,25 @@ class TestDownstreamCommands:
         bad.write_text("node_id,fv_0,fv_1\n0,1.0,2.0\n1,3.0\n")
         assert main(["distances", str(bad), "--out", str(tmp_path)]) == 1
 
+    def test_mds_dimension_mismatch_exits_nonzero(self, tmp_path):
+        bad = tmp_path / "feature_vectors.csv"
+        bad.write_text("node_id,fv_0,fv_1\n0,1.0,2.0\n1,3.0\n2,4.0,5.0\n")
+        assert main(["mds", str(bad), "--out", str(tmp_path)]) == 1
+
+    def test_signature_commands_never_import_scipy(self, example_model_path, tmp_path):
+        # scipy is not a dependency; importing it would cost ~26 MiB of peak RSS.
+        script = (
+            "import sys\n"
+            "from harmonode.cli import main\n"
+            f"model, out = {str(example_model_path)!r}, {str(tmp_path)!r}\n"
+            "for argv in (['descriptors', model], ['cluster', model, '--k', '2'], ['complexity', model]):\n"
+            "    assert main(argv + ['--out', out]) == 0, argv\n"
+            "loaded = sorted(name for name in sys.modules if name.split('.')[0] == 'scipy')\n"
+            "assert not loaded, loaded\n"
+        )
+        result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=120)
+        assert result.returncode == 0, result.stderr
+
 
 class TestDeterminism:
     def test_repeated_runs_byte_identical(self, two_bar_path, tmp_path):

@@ -20,6 +20,7 @@ from harmonode.fea import (
     TENSION,
     SingularStructureError,
     _check_pivots,
+    _cholesky_solve,
     extract_demands,
     model_mass,
     size_members,
@@ -29,9 +30,9 @@ from harmonode.generator import GridTrussParams, apply_control_sample, generate_
 from harmonode.model import Point3, PointLoad, Support, TrussModel, write_model
 
 
-def _grid_truss(keep_supports):
-    """The README 7x7 family at controls (0.25, 1.5, 1.75, 0.5), supports edited."""
-    family = GridTrussParams(nx=7, ny=7, bay=3.0, depth=1.0, control_heights=((0.0, 0.0),) * 4)
+def _grid_truss(keep_supports, grid=7):
+    """The README family at controls (0.25, 1.5, 1.75, 0.5), supports edited."""
+    family = GridTrussParams(nx=grid, ny=grid, bay=3.0, depth=1.0, control_heights=((0.0, 0.0),) * 4)
     model = generate_grid_truss(apply_control_sample(family, (0.25, 1.5, 1.75, 0.5)))
     return replace(model, supports=keep_supports(model.supports))
 
@@ -129,6 +130,25 @@ class TestSolve:
             named.add(re.search(r"near node (\d+) direction (\w)", result.stderr).groups())
         assert named == {("83", "x")}
 
+    def test_study_design_equilibrium_residual(self):
+        # The 25x25 study design: 3591 free DOFs, one Cholesky factor.
+        model = _grid_truss(lambda supports: supports, grid=25)
+        result = solve(model)
+        index = {n.id: i for i, n in enumerate(model.nodes)}
+        pos = np.array([n.position.as_tuple() for n in model.nodes])
+        net = np.zeros_like(pos)
+        for el in model.elements:
+            a, b = index[el.start], index[el.end]
+            pull = result.axial_forces[el.id] * (pos[b] - pos[a]) / np.linalg.norm(pos[b] - pos[a])
+            net[a] += pull
+            net[b] -= pull
+        f = np.zeros_like(pos)
+        for load in model.loads:
+            f[index[load.node]] += load.force.as_tuple()
+        for node, reaction in result.reactions.items():
+            net[index[node]] += reaction.as_tuple()
+        assert np.linalg.norm(net + f) <= 1e-10 * np.linalg.norm(f)
+
     def test_reaction_balance(self, flat_model):
         result = solve(flat_model)
         reactions = np.array([r.as_tuple() for r in result.reactions.values()]).sum(axis=0)
@@ -165,6 +185,19 @@ def _rotate_model(model: TrussModel, rotation: np.ndarray) -> TrussModel:
     )
     supports = tuple(Support(s.node, (True, True, True)) for s in model.supports)
     return TrussModel(nodes, model.elements, supports, loads, model.name, model.enclosure_area)
+
+
+class TestCholeskySolve:
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 200])
+    def test_matches_dense_solve_across_block_edges(self, n):
+        rng = np.random.default_rng(n)
+        m = rng.normal(size=(n, n))
+        a = m @ m.T + n * np.eye(n)
+        b = rng.normal(size=n)
+        x = _cholesky_solve(np.linalg.cholesky(a), b)
+        assert np.linalg.norm(a @ x - b) <= 1e-12 * np.linalg.norm(b)
+        expected = np.linalg.solve(a, b)
+        assert np.linalg.norm(x - expected) <= 1e-12 * np.linalg.norm(expected)
 
 
 class TestExtractDemands:
