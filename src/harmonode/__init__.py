@@ -20,15 +20,11 @@ from .analysis import (
 )
 from .descriptor import (
     DistanceMatrix,
-    FeatureMatrix,
     FeatureVector,
     ForceFunctionSpec,
     build_force_function,
-    distance,
     distance_matrix,
     equilibrium_perturbation,
-    feature_matrices,
-    feature_matrix_distance,
     node_expansions,
     node_feature_vectors,
 )

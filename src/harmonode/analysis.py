@@ -21,9 +21,6 @@ DEFAULT_RESTARTS = 10
 DEFAULT_KMEANS_MAX_ITER = 300
 DEFAULT_BALL_TOL = 1e-7
 
-# Above this ratio of |most negative eigenvalue| / largest eigenvalue the
-# distance matrix is flagged as not Euclidean-embeddable.
-_NEGATIVE_EIGENVALUE_NOTE = 1e-6
 # Rows per block of pairwise distances: the differences of a block to every
 # point are a (block, n, d) temporary, never (n, n, d).
 _DISTANCE_ROWS = 64
@@ -67,29 +64,34 @@ class ClusterAssignment:
 
 
 def _as_points(vectors) -> tuple[np.ndarray, tuple[int, ...]]:
-    """Accept FeatureVector lists or plain arrays; return (points, node ids)."""
+    """Signatures as (points, node ids): the one rule for both.
+
+    FeatureVectors keep their node ids, and one without an id takes its
+    position; rows of a plain array are numbered. FeatureVectors of
+    different lengths are refused.
+    """
     seq = list(vectors)
     if not seq:
         return np.empty((0, 0)), ()
-    if hasattr(seq[0], "components"):
-        points = np.array([v.components for v in seq], dtype=float)
-        ids = tuple(
-            v.node if getattr(v, "node", None) is not None else i for i, v in enumerate(seq)
-        )
-    else:
+    if not hasattr(seq[0], "components"):
         points = np.atleast_2d(np.asarray(seq, dtype=float))
-        ids = tuple(range(points.shape[0]))
-    return points, ids
+        return points, tuple(range(points.shape[0]))
+    lengths = sorted({len(v) for v in seq})
+    if len(lengths) > 1:
+        raise ValueError(f"inconsistent feature vector lengths: {lengths}")
+    points = np.array([v.components for v in seq], dtype=float)
+    return points, tuple(i if v.node is None else v.node for i, v in enumerate(seq))
 
 
 def classical_mds(distances, k: int) -> Embedding:
     """Embed a distance matrix into k dimensions via double centering.
 
-    B = -1/2 J D^2 J is eigendecomposed; coordinates are the top-k
-    eigenvectors scaled by the square root of their (clamped to zero)
-    eigenvalues. Each axis is flipped so its largest-magnitude entry is
-    positive, making the output deterministic. The stress diagnostic is the
-    relative Frobenius error between the reconstructed and input distances.
+    B = -1/2 J D^2 J, formed by subtracting the row and column means of D^2,
+    is eigendecomposed; coordinates are the top-k eigenvectors scaled by the
+    square root of their (clamped to zero) eigenvalues. Each axis is flipped
+    so its largest-magnitude entry is positive, making the output
+    deterministic. The stress diagnostic is the relative Frobenius error
+    between the reconstructed and input distances.
     """
     d = distances.values if hasattr(distances, "values") else np.asarray(distances, dtype=float)
     n = d.shape[0]
@@ -98,29 +100,23 @@ def classical_mds(distances, k: int) -> Embedding:
     if not 1 <= k < n:
         raise ValueError(f"target dimension must satisfy 1 <= k < n={n}, got {k}")
 
-    j = np.eye(n) - np.full((n, n), 1.0 / n)
-    b = -0.5 * j @ (d * d) @ j
+    d2 = d * d
+    b = -0.5 * (d2 - d2.mean(axis=0) - d2.mean(axis=1)[:, None] + d2.mean())
     eigenvalues, eigenvectors = np.linalg.eigh(b)
     order = np.argsort(eigenvalues)[::-1]
     eigenvalues = eigenvalues[order]
     eigenvectors = eigenvectors[:, order]
 
-    max_eig = float(eigenvalues[0]) if n else 0.0
-    most_negative = float(-eigenvalues[-1]) if n else 0.0
+    max_eig, most_negative = float(eigenvalues[0]), float(-eigenvalues[-1])
     neg_ratio = most_negative / max_eig if max_eig > 0 and most_negative > 0 else 0.0
 
     top = np.clip(eigenvalues[:k], 0.0, None)
     coordinates = _orient_axes(eigenvectors[:, :k] * np.sqrt(top)[None, :])
 
-    deltas = coordinates[:, None, :] - coordinates[None, :, :]
-    reconstructed = np.sqrt((deltas * deltas).sum(axis=-1))
-    d_norm = float(np.linalg.norm(d))
-    stress = float(np.linalg.norm(reconstructed - d) / d_norm) if d_norm > 0 else 0.0
-
     return Embedding(
         coordinates=coordinates,
         eigenvalues=top,
-        stress=stress,
+        stress=_stress(coordinates, np.split(d, range(_DISTANCE_ROWS, n, _DISTANCE_ROWS))),
         negative_eigenvalue_ratio=neg_ratio,
     )
 
@@ -150,15 +146,10 @@ def principal_coordinates(vectors, k: int) -> Embedding:
     eigenvalues = np.zeros(k)
     eigenvalues[:kept] = s[:kept] ** 2
 
-    fitted2 = given2 = 0.0
-    for fitted, given in zip(_distance_blocks(coordinates), _distance_blocks(points)):
-        fitted2 += float(((fitted - given) ** 2).sum())
-        given2 += float((given * given).sum())
-    stress = math.sqrt(fitted2 / given2) if given2 > 0 else 0.0
     return Embedding(
         coordinates=coordinates,
         eigenvalues=eigenvalues,
-        stress=stress,
+        stress=_stress(coordinates, _distance_blocks(points)),
         negative_eigenvalue_ratio=0.0,
     )
 
@@ -178,6 +169,19 @@ def _distance_blocks(points: np.ndarray):
     for lo in range(0, points.shape[0], _DISTANCE_ROWS):
         deltas = points[lo : lo + _DISTANCE_ROWS, None, :] - points[None, :, :]
         yield np.sqrt((deltas * deltas).sum(axis=-1))
+
+
+def _stress(coordinates: np.ndarray, given_rows) -> float:
+    """Relative Frobenius error of the coordinates' distances against given ones.
+
+    given_rows yields the given distances in row blocks of _DISTANCE_ROWS
+    rows, as _distance_blocks does, so no n x n array is needed.
+    """
+    fitted2 = given2 = 0.0
+    for fitted, given in zip(_distance_blocks(coordinates), given_rows):
+        fitted2 += float(((fitted - given) ** 2).sum())
+        given2 += float((given * given).sum())
+    return math.sqrt(fitted2 / given2) if given2 > 0 else 0.0
 
 
 def min_enclosing_ball(points, tol: float = DEFAULT_BALL_TOL, max_iter: int = 200_000) -> BoundingSphere:
@@ -283,13 +287,13 @@ def _line_search(slope: float, curvature: float, cap: float) -> tuple[float, flo
     return step * slope - step * step * curvature, step, step == cap
 
 
-def complexity_score(vectors, tol: float = DEFAULT_BALL_TOL) -> float:
+def complexity_score(vectors) -> float:
     """Radius of the minimal enclosing sphere of the signatures.
 
     Comparative only: larger means more varied connection demands, and the
     value scales linearly with the applied loads.
     """
-    return min_enclosing_ball(vectors, tol=tol).radius
+    return min_enclosing_ball(vectors).radius
 
 
 def kmeans(

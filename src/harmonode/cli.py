@@ -17,10 +17,8 @@ import sys
 import warnings
 from pathlib import Path
 
-import numpy as np
-
 from . import exports, svgplot
-from .analysis import complexity_score, kmeans, min_enclosing_ball, principal_coordinates
+from .analysis import _as_points, complexity_score, kmeans, min_enclosing_ball, principal_coordinates
 from .descriptor import (
     AMPLITUDE_MAGNITUDE,
     AMPLITUDE_SIGNED,
@@ -212,9 +210,8 @@ def cmd_distances(args) -> int:
 
 
 def cmd_mds(args) -> int:
-    vectors = _input_vectors(args)
-    embedding = principal_coordinates(vectors, args.dims)
-    node_ids = [v.node if v.node is not None else i for i, v in enumerate(vectors)]
+    points, node_ids = _as_points(_input_vectors(args))
+    embedding = principal_coordinates(points, args.dims)
     out = _out_dir(args)
     exports.write_embedding_csv(out / "mds.csv", embedding, node_ids)
     if args.dims == 2:
@@ -231,18 +228,19 @@ def cmd_mds(args) -> int:
                 y_label="coord 1",
             )
         )
-    print(f"embedded {len(vectors)} nodes into {args.dims}D, stress {embedding.stress:.3e}")
+    print(f"embedded {len(node_ids)} nodes into {args.dims}D, stress {embedding.stress:.3e}")
     return 0
 
 
 def cmd_cluster(args) -> int:
     vectors = _input_vectors(args)
     assignment = kmeans(vectors, k=args.k, seed=args.seed)
+    points, _ = _as_points(vectors)
     out = _out_dir(args)
     exports.write_clusters_csv(out / "clusters.csv", assignment)
     exports.write_cluster_summary_csv(out / "cluster_summary.csv", assignment)
     if len(vectors) > 2:
-        embedding = principal_coordinates(vectors, 2)
+        embedding = principal_coordinates(points, 2)
         (out / "clusters.svg").write_text(
             svgplot.scatter(
                 embedding.coordinates,
@@ -252,9 +250,8 @@ def cmd_cluster(args) -> int:
                 y_label="coord 1",
             )
         )
-    rows = np.array([v.components for v in vectors])
     (out / "parallel_coordinates.svg").write_text(
-        svgplot.parallel_coordinates(rows, labels=assignment.labels, title="signatures by cluster")
+        svgplot.parallel_coordinates(points, labels=assignment.labels, title="signatures by cluster")
     )
     radii = ", ".join(f"{s.radius:.4g}" for s in assignment.spheres)
     print(f"clustered {len(vectors)} nodes into {args.k} groups; radii [{radii}]")

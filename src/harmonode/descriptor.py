@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import _distance_blocks
+from .analysis import _as_points, _distance_blocks
 from .fea import COMPRESSION, TENSION, DemandEntry, NodalDemand
 from .harmonics import (
     DEFAULT_L_MAX,
@@ -91,25 +91,6 @@ class FeatureVector:
 
     def __len__(self) -> int:
         return len(self.components)
-
-
-@dataclass(frozen=True)
-class FeatureMatrix:
-    """One node's feature vectors across load cases, in a fixed case order."""
-
-    node: int | None
-    cases: tuple[str, ...]
-    vectors: tuple[FeatureVector, ...]
-
-    def __post_init__(self):
-        if len(self.cases) != len(self.vectors):
-            raise ValueError("one vector per case required")
-        lengths = {len(v) for v in self.vectors}
-        if len(lengths) > 1:
-            raise ValueError(f"inconsistent vector lengths across cases: {sorted(lengths)}")
-
-    def as_array(self) -> np.ndarray:
-        return np.array([v.components for v in self.vectors])
 
 
 @dataclass(frozen=True)
@@ -234,55 +215,14 @@ def node_feature_vectors(
     return [energy_vector(e, d.node, load_case) for d, e in zip(demands, expansions)]
 
 
-def distance(a: FeatureVector, b: FeatureVector) -> float:
-    """Euclidean distance between two signatures of equal length."""
-    if len(a) != len(b):
-        raise ValueError(f"feature vector lengths differ: {len(a)} vs {len(b)}")
-    return float(np.linalg.norm(a.as_array() - b.as_array()))
-
-
 def distance_matrix(vectors: list[FeatureVector]) -> DistanceMatrix:
     """All pairwise distances; rows follow the input vector order."""
-    if not vectors:
+    points, node_ids = _as_points(vectors)
+    if not node_ids:
         raise ValueError("at least one feature vector is required")
-    lengths = {len(v) for v in vectors}
-    if len(lengths) > 1:
-        raise ValueError(f"inconsistent feature vector lengths: {sorted(lengths)}")
-    values = np.vstack(list(_distance_blocks(np.array([v.components for v in vectors]))))
+    values = np.vstack(list(_distance_blocks(points)))
     np.fill_diagonal(values, 0.0)
-    node_ids = tuple(v.node if v.node is not None else i for i, v in enumerate(vectors))
     return DistanceMatrix(node_ids=node_ids, values=values)
-
-
-def feature_matrix_distance(a: FeatureMatrix, b: FeatureMatrix) -> float:
-    """Euclidean distance over all concatenated per-case components."""
-    if a.cases != b.cases:
-        raise ValueError(f"case sets differ: {a.cases} vs {b.cases}")
-    return float(np.linalg.norm(a.as_array() - b.as_array()))
-
-
-def feature_matrices(case_vectors: dict[str, list[FeatureVector]]) -> list[FeatureMatrix]:
-    """Group per-case vector lists into one FeatureMatrix per node.
-
-    Every case must cover the same node set; cases keep the mapping's order
-    so matrices stay mutually comparable.
-    """
-    if not case_vectors:
-        raise ValueError("at least one load case is required")
-    cases = tuple(case_vectors)
-    node_orders = [tuple(v.node for v in vectors) for vectors in case_vectors.values()]
-    if any(order != node_orders[0] for order in node_orders[1:]):
-        raise ValueError("load cases cover different node sets or orders")
-    matrices = []
-    for i, node in enumerate(node_orders[0]):
-        matrices.append(
-            FeatureMatrix(
-                node=node,
-                cases=cases,
-                vectors=tuple(case_vectors[case][i] for case in cases),
-            )
-        )
-    return matrices
 
 
 def equilibrium_perturbation(

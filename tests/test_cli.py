@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 from conftest import two_bar_closed_form, two_bar_model
 
-from harmonode import cli, descriptor
+from harmonode import cli, descriptor, exports
+from harmonode.analysis import kmeans
 from harmonode.cli import main
 from harmonode.model import write_model
 
@@ -243,15 +244,41 @@ class TestDownstreamCommands:
         assert main(["distances", str(out / "feature_vectors.csv"), "--out", str(out)]) == 0
         assert main(["complexity", str(out / "feature_vectors.csv"), "--out", str(out)]) == 0
 
-    def test_dimension_mismatch_exits_nonzero(self, tmp_path):
+    @pytest.mark.parametrize("command", ["distances", "mds", "cluster", "complexity"])
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("1,3.0", "2 fields, but the header has 3"),
+            ("1,3.0,4.0,5.0", "4 fields, but the header has 3"),
+            ("1,abc,4.0", "'abc'"),
+            ("1,nan,4.0", "finite"),
+            ("0,3.0,4.0", "node id 0 already on line 2"),
+        ],
+        ids=["short-row", "long-row", "not-a-number", "non-finite", "duplicate-id"],
+    )
+    def test_malformed_feature_csv_names_the_line(self, tmp_path, capsys, command, row, message):
         bad = tmp_path / "feature_vectors.csv"
-        bad.write_text("node_id,fv_0,fv_1\n0,1.0,2.0\n1,3.0\n")
-        assert main(["distances", str(bad), "--out", str(tmp_path)]) == 1
+        bad.write_text(f"node_id,fv_0,fv_1\n0,1.0,2.0\n{row}\n2,4.0,5.0\n")
+        assert main([command, str(bad), "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}, line 3: ") and message in err
 
-    def test_mds_dimension_mismatch_exits_nonzero(self, tmp_path):
-        bad = tmp_path / "feature_vectors.csv"
-        bad.write_text("node_id,fv_0,fv_1\n0,1.0,2.0\n1,3.0\n2,4.0,5.0\n")
-        assert main(["mds", str(bad), "--out", str(tmp_path)]) == 1
+    def test_products_share_node_ids(self, tmp_path):
+        # Rows without a node id are labelled by their position, everywhere.
+        rng = np.random.default_rng(97)
+        nodes = (10, None, 12, None, 14)
+        path = tmp_path / "feature_vectors.csv"
+        exports.write_feature_vectors_csv(
+            path, [descriptor.FeatureVector(tuple(rng.normal(size=4)), node) for node in nodes]
+        )
+        vectors = exports.read_feature_vectors_csv(path)
+        expected = (10, 1, 12, 3, 14)
+        assert descriptor.distance_matrix(vectors).node_ids == expected
+        assert kmeans(vectors, k=2).node_ids == expected
+        assert main(["mds", str(path), "--out", str(tmp_path)]) == 0
+        assert main(["cluster", str(path), "--k", "2", "--out", str(tmp_path)]) == 0
+        for product in ("mds.csv", "clusters.csv"):
+            assert tuple(int(row["node_id"]) for row in read_csv(tmp_path / product)) == expected
 
     def test_signature_commands_never_import_scipy(self, example_model_path, tmp_path):
         # scipy is not a dependency; importing it would cost ~26 MiB of peak RSS.

@@ -11,19 +11,16 @@ from harmonode.descriptor import (
     AMPLITUDE_SIGNED,
     KERNEL_COORDINATE,
     KERNEL_GEODESIC,
-    FeatureMatrix,
     FeatureVector,
     ForceFunctionSpec,
     build_force_function,
-    distance,
     distance_matrix,
     equilibrium_perturbation,
-    feature_matrices,
-    feature_matrix_distance,
     node_expansions,
     node_feature_vectors,
     wrap_angle,
 )
+from harmonode.analysis import kmeans, min_enclosing_ball
 from harmonode.fea import COMPRESSION, TENSION, DemandEntry, NodalDemand
 from harmonode.harmonics import DEFAULT_OVERSAMPLE, build_grid, expand, frequency_energies
 
@@ -206,7 +203,7 @@ class TestFeatureVector:
         many_demand = demand_of([(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, 0, 0)], [1.0] * 4)
         many = node_feature_vectors([many_demand], grid=grid)[0]
         assert len(few) == len(many) == 17
-        assert distance(few, many) >= 0.0
+        assert distance_matrix([few, many]).values[0, 1] > 0.0
 
 
 @st.composite
@@ -301,25 +298,16 @@ class TestGeodesicClosedForm:
 
 
 class TestDistances:
-    def test_zero_self_distance(self):
-        v = FeatureVector(components=(1.0, 2.0, 3.0))
-        assert distance(v, v) == 0.0
-
     def test_distance_from_origin_is_norm(self):
         v = FeatureVector(components=(3.0, 4.0))
         zero = FeatureVector(components=(0.0, 0.0))
-        assert distance(zero, v) == pytest.approx(5.0)
-
-    def test_symmetry(self):
-        rng = np.random.default_rng(59)
-        for _ in range(10):
-            a = FeatureVector(components=tuple(rng.normal(size=6)))
-            b = FeatureVector(components=tuple(rng.normal(size=6)))
-            assert distance(a, b) == pytest.approx(distance(b, a), rel=1e-15)
+        assert distance_matrix([zero, v]).values[0, 1] == pytest.approx(5.0)
 
     def test_length_mismatch(self):
-        with pytest.raises(ValueError, match="lengths"):
-            distance(FeatureVector(components=(1.0,)), FeatureVector(components=(1.0, 2.0)))
+        ragged = [FeatureVector(components=(1.0,)), FeatureVector(components=(1.0, 2.0))]
+        for consumer in (distance_matrix, kmeans, min_enclosing_ball):
+            with pytest.raises(ValueError, match="lengths"):
+                consumer(ragged)
 
     def test_matrix_invariants(self):
         rng = np.random.default_rng(61)
@@ -351,44 +339,6 @@ class TestDistances:
         matrix = distance_matrix(vectors)
         assert matrix.values.shape == (185, 185)
         assert matrix.node_ids == tuple(range(185))
-
-
-class TestFeatureMatrices:
-    def test_single_case_reduces_to_distance(self):
-        a = FeatureVector(components=(1.0, 2.0), node=0)
-        b = FeatureVector(components=(4.0, 6.0), node=0)
-        ma = FeatureMatrix(node=0, cases=("dead",), vectors=(a,))
-        mb = FeatureMatrix(node=0, cases=("dead",), vectors=(b,))
-        assert feature_matrix_distance(ma, mb) == pytest.approx(distance(a, b))
-
-    def test_identical_matrices(self):
-        a = FeatureVector(components=(1.0, 2.0), node=0)
-        m = FeatureMatrix(node=0, cases=("dead", "live"), vectors=(a, a))
-        assert feature_matrix_distance(m, m) == 0.0
-
-    def test_pythagorean_single_differing_case(self):
-        shared = FeatureVector(components=(1.0, 1.0), node=0)
-        a2 = FeatureVector(components=(2.0, 2.0), node=0)
-        b2 = FeatureVector(components=(5.0, 6.0), node=0)
-        ma = FeatureMatrix(node=0, cases=("dead", "live"), vectors=(shared, a2))
-        mb = FeatureMatrix(node=0, cases=("dead", "live"), vectors=(shared, b2))
-        assert feature_matrix_distance(ma, mb) == pytest.approx(distance(a2, b2))
-
-    def test_case_mismatch_rejected(self):
-        a = FeatureVector(components=(1.0,), node=0)
-        ma = FeatureMatrix(node=0, cases=("dead",), vectors=(a,))
-        mb = FeatureMatrix(node=0, cases=("live",), vectors=(a,))
-        with pytest.raises(ValueError, match="case"):
-            feature_matrix_distance(ma, mb)
-
-    def test_grouping_by_node(self):
-        va = [FeatureVector(components=(1.0, 0.0), node=n) for n in (0, 1)]
-        vb = [FeatureVector(components=(0.0, 1.0), node=n) for n in (0, 1)]
-        matrices = feature_matrices({"dead": va, "live": vb})
-        assert [m.node for m in matrices] == [0, 1]
-        assert matrices[0].cases == ("dead", "live")
-        with pytest.raises(ValueError, match="node sets"):
-            feature_matrices({"dead": va, "live": list(reversed(vb))})
 
 
 class TestEquilibriumPerturbation:

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -7,12 +9,14 @@ from harmonode.fea import extract_demands, size_members, solve
 from harmonode.generator import (
     GridTrussParams,
     apply_control_sample,
+    bottom_node_id,
     element_count,
     free_control_cells,
     generate_grid_truss,
     latin_hypercube,
     surface_height,
     sweep,
+    top_node_id,
 )
 from harmonode.model import validate
 
@@ -214,3 +218,38 @@ class TestSweep:
         flat = score(((1.2, 1.2), (1.2, 1.2)))
         tapered = score(((0.0, 0.0), (2.4, 2.4)))
         assert flat < tapered
+
+
+# The family of the README's sweep example; every sampled design is mirrored across x.
+README_FAMILY = GridTrussParams(
+    nx=7, ny=7, bay=3.0, depth=1.0, control_heights=((0.0, 0.0),) * 4, load_per_node=20000.0
+)
+
+
+@pytest.mark.parametrize("n", [5, 7, 9])
+def test_mirror_twins_share_signatures(n):
+    params = replace(README_FAMILY, nx=n, ny=n)
+    twins = [
+        (top_node_id(params, i, j), top_node_id(params, n - 1 - i, j)) for i in range(n) for j in range(n)
+    ]
+    twins += [
+        (bottom_node_id(params, i, j), bottom_node_id(params, n - 2 - i, j))
+        for i in range(n - 1)
+        for j in range(n - 1)
+    ]
+    samples = latin_hypercube(2, [(0.0, 2.0)] * free_control_cells(params), seed=n)
+    for values in samples.samples:
+        design = apply_control_sample(params, values)
+        analysed = generate_grid_truss(design)
+        for model in (analysed, size_members(analysed, load_case=design.load_case).model):
+            positions = {node.id: node.position for node in model.nodes}
+            assert all(
+                positions[a].x + positions[b].x == pytest.approx((n - 1) * params.bay)
+                and positions[a].y == positions[b].y
+                for a, b in twins
+            )
+            demands = extract_demands(model, solve(model, design.load_case))
+            signature = {v.node: v.as_array() for v in node_feature_vectors(demands)}
+            largest = max(float(np.abs(v).max()) for v in signature.values())
+            worst = max(float(np.abs(signature[a] - signature[b]).max()) for a, b in twins)
+            assert worst <= 1e-12 * largest
