@@ -40,7 +40,6 @@ from .fea import (
 )
 from .generator import (
     GridTrussParams,
-    SampleSet,
     generate_grid_truss,
     latin_hypercube,
     sweep,

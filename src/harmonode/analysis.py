@@ -44,7 +44,6 @@ class Embedding:
 class BoundingSphere:
     center: np.ndarray
     radius: float
-    support: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -54,7 +53,6 @@ class ClusterAssignment:
     k: int
     labels: np.ndarray
     node_ids: tuple[int, ...]
-    centroids: np.ndarray
     spheres: tuple[BoundingSphere, ...]
     inertia: float
     objective_history: tuple[float, ...]
@@ -228,7 +226,7 @@ def min_enclosing_ball(points, tol: float = DEFAULT_BALL_TOL, max_iter: int = 20
     from_a = ((pts - pts[a]) ** 2).sum(axis=1)
     b = int(np.argmax(from_a))
     if from_a[b] == 0.0:  # all points coincide
-        return BoundingSphere(center=np.ldexp(pts[0], exponent) + mean, radius=0.0, support=(0,))
+        return BoundingSphere(center=np.ldexp(pts[0], exponent) + mean, radius=0.0)
     weights = np.zeros(n)
     weights[a] = weights[b] = 0.5
 
@@ -273,9 +271,8 @@ def min_enclosing_ball(points, tol: float = DEFAULT_BALL_TOL, max_iter: int = 20
             weights[source] = 0.0 if drop else weights[source] - step
             weights[far] += step
 
-    support = tuple(int(i) for i in np.flatnonzero(weights > 1e-12))
     center = np.ldexp(center, exponent) + mean
-    return BoundingSphere(center=center, radius=math.ldexp(upper, exponent), support=support)
+    return BoundingSphere(center=center, radius=math.ldexp(upper, exponent))
 
 
 def _line_search(slope: float, curvature: float, cap: float) -> tuple[float, float, bool]:
@@ -320,14 +317,14 @@ def kmeans(
     if restarts < 1:
         raise ValueError(f"restarts must be at least 1, got {restarts}")
 
-    best: tuple[float, np.ndarray, np.ndarray, tuple[float, ...]] | None = None
+    best: tuple[float, np.ndarray, tuple[float, ...]] | None = None
     for run in range(restarts):
         rng = np.random.default_rng((seed, run))
-        labels, centroids, history = _lloyd(points, k, rng, max_iter)
+        labels, history = _lloyd(points, k, rng, max_iter)
         inertia = history[-1]
         if best is None or inertia < best[0] - 1e-12:
-            best = (inertia, labels, centroids, history)
-    inertia, labels, centroids, history = best
+            best = (inertia, labels, history)
+    inertia, labels, history = best
 
     spheres = []
     for label in range(k):
@@ -348,7 +345,6 @@ def kmeans(
         k=k,
         labels=remap[labels],
         node_ids=node_ids,
-        centroids=centroids[order],
         spheres=tuple(spheres[label] for label in order),
         inertia=float(inertia),
         objective_history=history,
@@ -376,7 +372,7 @@ def _lloyd(points: np.ndarray, k: int, rng, max_iter: int):
                 stray = int(np.argmax(residual))
                 centroids[label] = points[stray]
                 labels[stray] = label
-    return labels, centroids, tuple(history)
+    return labels, tuple(history)
 
 
 def _kmeans_plus_plus(points: np.ndarray, k: int, rng) -> np.ndarray:

@@ -31,7 +31,7 @@ from .descriptor import (
 )
 from .fea import SingularStructureError, extract_demands, solve
 from .generator import GridTrussParams, free_control_cells, latin_hypercube, sweep
-from .harmonics import DEFAULT_L_MAX, DEFAULT_OVERSAMPLE, build_grid
+from .harmonics import DEFAULT_L_MAX
 from .model import ModelFormatError, TrussModel, UnknownFieldWarning, is_finite_number, read_model
 
 
@@ -75,9 +75,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default=AMPLITUDE_MAGNITUDE,
         help="bump amplitudes: magnitudes or signed by sense (default magnitude)",
     )
-    signature.add_argument(
-        "--oversample", type=float, default=DEFAULT_OVERSAMPLE, help="coordinate-kernel grid oversampling"
-    )
     demands = argparse.ArgumentParser(add_help=False)
     demands.add_argument("--include-loads", action="store_true", help="add applied loads to demands")
     demands.add_argument("--include-reactions", action="store_true", help="add reactions to demands")
@@ -101,12 +98,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mds", parents=common, help="low-dimensional embedding + scatter")
     p.add_argument("input", help="model file or feature_vectors.csv")
     p.add_argument("--dims", type=int, default=2, help="embedding dimension (default 2)")
-    p.add_argument(
-        "--circle",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="overlay the minimal bounding circle on the scatter",
-    )
     p.set_defaults(handler=cmd_mds)
 
     p = sub.add_parser("cluster", parents=common, help="k-means grouping of node signatures")
@@ -155,9 +146,10 @@ def _model_signatures(args, model: TrussModel):
         include_applied_loads=args.include_loads,
         include_reactions=args.include_reactions,
     )
-    grid = build_grid(args.lmax, args.oversample)
-    expansions = node_expansions(demands, args.delta, args.lmax, grid, args.kernel, args.amplitude)
-    vectors = [energy_vector(e, d.node, result.load_case) for d, e in zip(demands, expansions)]
+    expansions = node_expansions(
+        demands, args.delta, args.lmax, kernel=args.kernel, amplitude_mode=args.amplitude
+    )
+    vectors = [energy_vector(e, d.node) for d, e in zip(demands, expansions)]
     return vectors, {d.node: e for d, e in zip(demands, expansions)}
 
 
@@ -215,14 +207,11 @@ def cmd_mds(args) -> int:
     out = _out_dir(args)
     exports.write_embedding_csv(out / "mds.csv", embedding, node_ids)
     if args.dims == 2:
-        circles = []
-        if args.circle:
-            ball = min_enclosing_ball(embedding.coordinates)
-            circles.append((ball.center, ball.radius))
+        ball = min_enclosing_ball(embedding.coordinates)
         (out / "mds.svg").write_text(
             svgplot.scatter(
                 embedding.coordinates,
-                circles=circles,
+                circles=[(ball.center, ball.radius)],
                 title="embedded node signatures",
                 x_label="coord 0",
                 y_label="coord 1",
@@ -290,7 +279,6 @@ def cmd_sweep(args) -> int:
         l_max=args.lmax,
         kernel=args.kernel,
         amplitude_mode=args.amplitude,
-        oversample=args.oversample,
     )
     solved = [r for r in records if r.status == "ok"]
     if solved:

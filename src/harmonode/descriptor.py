@@ -80,7 +80,6 @@ class FeatureVector:
 
     components: tuple[float, ...]
     node: int | None = None
-    load_case: str | None = None
 
     def __post_init__(self):
         if not all(math.isfinite(c) for c in self.components):
@@ -193,12 +192,10 @@ def _geodesic_eigenvalues(delta: float, l_max: int) -> np.ndarray:
     return np.polynomial.legendre.legvander(np.cos(gamma), l_max).T @ weights
 
 
-def energy_vector(
-    expansion: HarmonicExpansion, node: int | None = None, load_case: str | None = None
-) -> FeatureVector:
+def energy_vector(expansion: HarmonicExpansion, node: int | None = None) -> FeatureVector:
     """A node's feature vector: the per-degree energies of its expansion."""
     energies = frequency_energies(expansion)
-    return FeatureVector(components=tuple(float(e) for e in energies), node=node, load_case=load_case)
+    return FeatureVector(components=tuple(float(e) for e in energies), node=node)
 
 
 def node_feature_vectors(
@@ -208,11 +205,10 @@ def node_feature_vectors(
     grid: QuadratureGrid | None = None,
     kernel: str = KERNEL_GEODESIC,
     amplitude_mode: str = AMPLITUDE_MAGNITUDE,
-    load_case: str | None = None,
 ) -> list[FeatureVector]:
     """Feature vectors of many demands: the energies of their node_expansions."""
     expansions = node_expansions(demands, delta, l_max, grid, kernel, amplitude_mode)
-    return [energy_vector(e, d.node, load_case) for d, e in zip(demands, expansions)]
+    return [energy_vector(e, d.node) for d, e in zip(demands, expansions)]
 
 
 def distance_matrix(vectors: list[FeatureVector]) -> DistanceMatrix:

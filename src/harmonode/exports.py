@@ -58,7 +58,8 @@ def read_feature_vectors_csv(path: Path) -> list[FeatureVector]:
     """Read a feature_vectors.csv; a bad row's error names the file and line.
 
     Every row has the header's length, an integer or blank node id and
-    finite numbers, and no node id appears twice.
+    finite numbers. A blank id stands for the row's position, counted from
+    0 as in analysis._as_points, and no node id appears twice.
     """
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
@@ -72,11 +73,11 @@ def read_feature_vectors_csv(path: Path) -> list[FeatureVector]:
             if len(row) != len(header):
                 raise ValueError(f"{where}: {len(row)} fields, but the header has {len(header)}")
             try:
-                node = int(row[0]) if row[0] else None
+                node = int(row[0]) if row[0] else len(vectors)
                 vectors.append(FeatureVector(components=tuple(float(c) for c in row[1:]), node=node))
             except ValueError as exc:
                 raise ValueError(f"{where}: {exc}") from exc
-            if node is not None and first_lines.setdefault(node, reader.line_num) != reader.line_num:
+            if first_lines.setdefault(node, reader.line_num) != reader.line_num:
                 raise ValueError(f"{where}: node id {node} already on line {first_lines[node]}")
     if not vectors:
         raise ValueError(f"{path}: contains no feature vectors")

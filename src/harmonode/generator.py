@@ -24,7 +24,7 @@ from . import descriptor
 from .analysis import complexity_score
 from .exports import fmt_float, write_csv, write_feature_vectors_csv
 from .fea import SingularStructureError, extract_demands, size_members, solve
-from .harmonics import DEFAULT_L_MAX, DEFAULT_OVERSAMPLE, build_grid
+from .harmonics import DEFAULT_L_MAX
 from .model import Point3, PointLoad, Support, TrussElement, TrussModel, TrussNode, validate
 
 DEFAULT_LOAD_CASE = "gravity"
@@ -68,16 +68,6 @@ class GridTrussParams:
 
 
 @dataclass(frozen=True)
-class SampleSet:
-    """Latin-hypercube parameter samples: one per stratum per dimension."""
-
-    n_samples: int
-    samples: np.ndarray
-    bounds: tuple[tuple[float, float], ...]
-    seed: int
-
-
-@dataclass(frozen=True)
 class SweepRecord:
     sample_id: int
     parameters: tuple[float, ...]
@@ -85,7 +75,6 @@ class SweepRecord:
     mass_per_area: float | None
     complexity_radius: float | None
     status: str
-    features_path: str | None
 
 
 def top_node_id(params: GridTrussParams, i: int, j: int) -> int:
@@ -256,8 +245,8 @@ def apply_control_sample(params: GridTrussParams, values) -> GridTrussParams:
     return replace(params, control_heights=tuple(tuple(r) for r in rows))
 
 
-def latin_hypercube(n: int, bounds, seed: int = 0) -> SampleSet:
-    """Stratified samples: exactly one point per interval per dimension.
+def latin_hypercube(n: int, bounds, seed: int = 0) -> np.ndarray:
+    """Stratified (n, d) samples: exactly one point per interval per dimension.
 
     Each dimension is split into n equal strata; a random permutation pairs
     strata across dimensions and a uniform draw places the point within its
@@ -275,53 +264,51 @@ def latin_hypercube(n: int, bounds, seed: int = 0) -> SampleSet:
         strata = rng.permutation(n)
         offsets = rng.random(n)
         samples[:, d] = lo + (strata + offsets) / n * (hi - lo)
-    return SampleSet(n_samples=n, samples=samples, bounds=bounds, seed=seed)
+    return samples
 
 
 def sweep(
     params: GridTrussParams,
-    samples: SampleSet,
+    samples: np.ndarray,
     out_dir,
     delta: float = descriptor.DEFAULT_DELTA,
     l_max: int = DEFAULT_L_MAX,
     kernel: str = descriptor.KERNEL_GEODESIC,
     amplitude_mode: str = descriptor.AMPLITUDE_MAGNITUDE,
-    oversample: float = DEFAULT_OVERSAMPLE,
 ) -> list[SweepRecord]:
     """Run the full pipeline over every sampled design, in sample order.
 
-    Per sample: generate, strength-size, solve, extract demands, build
-    feature vectors, and score complexity. Results land in out_dir as
-    sweep.csv (one row per design) plus one feature-vector file per design.
-    A sample that raises ValueError, ArithmeticError or SingularStructureError
-    is tagged "error: <message>" in the status column and the sweep
-    continues; any other exception is a programming error and propagates.
+    Per sample (a row of samples): generate, strength-size, solve, extract
+    demands, build feature vectors, and score complexity. Results land in
+    out_dir as sweep.csv (one row per design) plus one feature-vector file
+    per design. A sample that raises ValueError, ArithmeticError or
+    SingularStructureError, or whose sizing does not converge, is tagged
+    "error: <message>" in the status column and the sweep continues; any
+    other exception is a programming error and propagates.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    grid = build_grid(l_max, oversample)
 
     records = []
-    for index in range(samples.n_samples):
-        vector = tuple(float(v) for v in samples.samples[index])
-        features_name = f"sample_{index:03d}_features.csv"
+    for index, row in enumerate(samples):
+        vector = tuple(float(v) for v in row)
         try:
             design = apply_control_sample(params, vector)
             model = generate_grid_truss(design)
             sized = size_members(model, load_case=design.load_case)
+            if not sized.converged:
+                raise ArithmeticError(f"member sizing did not converge in {sized.iterations} passes")
             result = solve(sized.model, design.load_case)
             demands = extract_demands(sized.model, result)
             vectors = descriptor.node_feature_vectors(
                 demands,
                 delta=delta,
                 l_max=l_max,
-                grid=grid,
                 kernel=kernel,
                 amplitude_mode=amplitude_mode,
-                load_case=design.load_case,
             )
             radius = complexity_score(vectors)
-            write_feature_vectors_csv(out / features_name, vectors)
+            write_feature_vectors_csv(out / f"sample_{index:03d}_features.csv", vectors)
             record = SweepRecord(
                 sample_id=index,
                 parameters=vector,
@@ -329,7 +316,6 @@ def sweep(
                 mass_per_area=sized.mass_per_area,
                 complexity_radius=radius,
                 status="ok",
-                features_path=features_name,
             )
         except (ValueError, ArithmeticError, SingularStructureError) as exc:
             record = SweepRecord(
@@ -339,7 +325,6 @@ def sweep(
                 mass_per_area=None,
                 complexity_radius=None,
                 status=f"error: {exc}",
-                features_path=None,
             )
         records.append(record)
 

@@ -97,7 +97,7 @@ class TestAnalyze:
     @pytest.mark.parametrize(
         "flag",
         [["--delta", "5"], ["--lmax", "8"], ["--kernel", "coordinate"], ["--amplitude", "signed"],
-         ["--oversample", "2"], ["--include-loads"], ["--include-reactions"]],
+         ["--include-loads"], ["--include-reactions"]],
         ids=lambda flag: flag[0],
     )
     def test_signature_flags_rejected(self, two_bar_path, tmp_path, capsys, flag):
@@ -252,13 +252,15 @@ class TestDownstreamCommands:
             ("1,3.0,4.0,5.0", "4 fields, but the header has 3"),
             ("1,abc,4.0", "'abc'"),
             ("1,nan,4.0", "finite"),
-            ("0,3.0,4.0", "node id 0 already on line 2"),
+            ("1,3.0,4.0", "node id 1 already on line 2"),
+            # a blank id is the row's position, 1, which line 2 already names
+            (",3.0,4.0", "node id 1 already on line 2"),
         ],
-        ids=["short-row", "long-row", "not-a-number", "non-finite", "duplicate-id"],
+        ids=["short-row", "long-row", "not-a-number", "non-finite", "duplicate-id", "blank-id-duplicate"],
     )
     def test_malformed_feature_csv_names_the_line(self, tmp_path, capsys, command, row, message):
         bad = tmp_path / "feature_vectors.csv"
-        bad.write_text(f"node_id,fv_0,fv_1\n0,1.0,2.0\n{row}\n2,4.0,5.0\n")
+        bad.write_text(f"node_id,fv_0,fv_1\n1,1.0,2.0\n{row}\n2,4.0,5.0\n")
         assert main([command, str(bad), "--out", str(tmp_path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {bad}, line 3: ") and message in err

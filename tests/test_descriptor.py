@@ -412,7 +412,6 @@ def test_node_feature_vectors_share_grid_and_order(flat_model):
 
     result = solve(flat_model)
     demands = extract_demands(flat_model, result)
-    vectors = node_feature_vectors(demands[:5], l_max=8, load_case=result.load_case)
+    vectors = node_feature_vectors(demands[:5], l_max=8)
     assert [v.node for v in vectors] == [d.node for d in demands[:5]]
-    assert all(v.load_case == "gravity" for v in vectors)
     assert all(len(v) == 9 for v in vectors)

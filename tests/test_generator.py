@@ -1,10 +1,11 @@
+import csv
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from harmonode.analysis import complexity_score
-from harmonode.descriptor import node_feature_vectors
+from harmonode.descriptor import AMPLITUDE_MAGNITUDE, AMPLITUDE_SIGNED, node_feature_vectors
 from harmonode.fea import extract_demands, size_members, solve
 from harmonode.generator import (
     GridTrussParams,
@@ -118,29 +119,29 @@ class TestSurfaceHeight:
 
 class TestLatinHypercube:
     def test_one_sample_per_quartile(self):
-        sample_set = latin_hypercube(4, [(0.0, 1.0)], seed=0)
-        strata = sorted(int(v * 4) for v in sample_set.samples[:, 0])
+        samples = latin_hypercube(4, [(0.0, 1.0)], seed=0)
+        strata = sorted(int(v * 4) for v in samples[:, 0])
         assert strata == [0, 1, 2, 3]
 
     def test_deterministic_per_seed(self):
         a = latin_hypercube(10, [(0.0, 1.0), (-5.0, 5.0)], seed=3)
         b = latin_hypercube(10, [(0.0, 1.0), (-5.0, 5.0)], seed=3)
-        assert np.array_equal(a.samples, b.samples)
+        assert np.array_equal(a, b)
         c = latin_hypercube(10, [(0.0, 1.0), (-5.0, 5.0)], seed=4)
-        assert not np.array_equal(a.samples, c.samples)
+        assert not np.array_equal(a, c)
 
     def test_stratification_holds_in_every_dimension(self):
         n, dims = 100, 6
-        sample_set = latin_hypercube(n, [(0.0, 1.0)] * dims, seed=7)
+        samples = latin_hypercube(n, [(0.0, 1.0)] * dims, seed=7)
         for d in range(dims):
-            strata = sorted(int(v * n) for v in sample_set.samples[:, d])
+            strata = sorted(int(v * n) for v in samples[:, d])
             assert strata == list(range(n))
 
     def test_bounds_respected(self):
-        sample_set = latin_hypercube(50, [(-2.0, -1.0), (10.0, 20.0)], seed=1)
-        assert sample_set.samples[:, 0].min() >= -2.0
-        assert sample_set.samples[:, 0].max() <= -1.0
-        assert sample_set.samples[:, 1].min() >= 10.0
+        samples = latin_hypercube(50, [(-2.0, -1.0), (10.0, 20.0)], seed=1)
+        assert samples[:, 0].min() >= -2.0
+        assert samples[:, 0].max() <= -1.0
+        assert samples[:, 1].min() >= 10.0
 
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
@@ -203,6 +204,21 @@ class TestSweep:
         with pytest.raises(TypeError, match="broken sizing"):
             sweep(params, samples, tmp_path)
 
+    def test_unconverged_sizing_is_an_error(self, tmp_path, monkeypatch):
+        params = small_params()
+        samples = latin_hypercube(2, [(0.0, 1.5)] * free_control_cells(params), seed=0)
+        assert all(r.status == "ok" for r in sweep(params, samples, tmp_path / "full"))
+
+        def one_pass(model, **kwargs):
+            return size_members(model, max_iter=1, **kwargs)
+
+        monkeypatch.setattr("harmonode.generator.size_members", one_pass)
+        records = sweep(params, samples, tmp_path / "capped")
+        assert [r.status for r in records] == ["error: member sizing did not converge in 1 passes"] * 2
+        with open(tmp_path / "capped" / "sweep.csv", newline="") as handle:
+            rows = list(csv.DictReader(handle))
+        assert all(row["mass_kg"] == row["complexity_radius"] == "" for row in rows)
+
     def test_flat_design_scores_lower_complexity_than_tapered(self):
         # same plan, same mean top height: parallel chords vs strong taper
         def score(heights):
@@ -238,7 +254,7 @@ def test_mirror_twins_share_signatures(n):
         for j in range(n - 1)
     ]
     samples = latin_hypercube(2, [(0.0, 2.0)] * free_control_cells(params), seed=n)
-    for values in samples.samples:
+    for values in samples:
         design = apply_control_sample(params, values)
         analysed = generate_grid_truss(design)
         for model in (analysed, size_members(analysed, load_case=design.load_case).model):
@@ -253,3 +269,50 @@ def test_mirror_twins_share_signatures(n):
             largest = max(float(np.abs(v).max()) for v in signature.values())
             worst = max(float(np.abs(signature[a] - signature[b]).max()) for a, b in twins)
             assert worst <= 1e-12 * largest
+
+
+def sized_readme_designs(n, seed):
+    """Two LHS designs of the README family at n x n, each with its sized model."""
+    params = replace(README_FAMILY, nx=n, ny=n)
+    for values in latin_hypercube(2, [(0.0, 2.0)] * free_control_cells(params), seed=seed):
+        design = apply_control_sample(params, values)
+        yield design, size_members(generate_grid_truss(design), load_case=design.load_case).model
+
+
+@pytest.mark.parametrize("n", [5, 7])
+def test_sized_designs_are_in_nodal_equilibrium(n):
+    # Member forces alone, with no stiffness matrix, balance the loads at every free DOF.
+    for design, model in sized_readme_designs(n, seed=100 + n):
+        axial = solve(model, design.load_case).axial_forces
+        index = {node.id: i for i, node in enumerate(model.nodes)}
+        xyz = np.array([node.position.as_tuple() for node in model.nodes])
+        residual = np.zeros_like(xyz)
+        for load in model.loads:
+            residual[index[load.node]] += load.force.as_tuple()
+        applied = np.linalg.norm(residual)
+        for element in model.elements:
+            a, b = index[element.start], index[element.end]
+            pull = axial[element.id] * (xyz[b] - xyz[a]) / np.linalg.norm(xyz[b] - xyz[a])
+            residual[a] += pull
+            residual[b] -= pull
+        free = np.ones_like(xyz, dtype=bool)
+        for support in model.supports:
+            free[index[support.node]] = np.logical_not(support.fixed)
+        assert np.abs(residual[free]).max() <= 1e-10 * applied
+
+
+@pytest.mark.parametrize("n", [5, 7])
+def test_signatures_scale_with_the_loads_and_ignore_their_sense(n):
+    for design, sized in sized_readme_designs(n, seed=200 + n):
+
+        def signatures(factor, mode):
+            loaded = generate_grid_truss(replace(design, load_per_node=factor * design.load_per_node))
+            model = replace(sized, loads=loaded.loads)
+            demands = extract_demands(model, solve(model, design.load_case))
+            return np.array([v.components for v in node_feature_vectors(demands, amplitude_mode=mode)])
+
+        for mode in (AMPLITUDE_MAGNITUDE, AMPLITUDE_SIGNED):
+            base = signatures(1.0, mode)
+            largest = np.abs(base).max(axis=1, keepdims=True)
+            assert np.all(np.abs(signatures(3.7, mode) - 3.7 * base) <= 1e-12 * 3.7 * largest)
+            assert np.all(np.abs(signatures(-1.0, mode) - base) <= 1e-12 * largest)
