@@ -131,6 +131,13 @@ def principal_coordinates(vectors, k: int) -> Embedding:
     give a Euclidean metric.
     """
     points, _ = _as_points(vectors)
+    coordinates, eigenvalues = _principal_axes(points, k)
+    stress = _stress(coordinates, _distance_blocks(points))
+    return Embedding(coordinates, eigenvalues, stress, negative_eigenvalue_ratio=0.0)
+
+
+def _principal_axes(points: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """principal_coordinates' coordinates and eigenvalues, without its O(n^2 d) stress pass."""
     n = points.shape[0]
     if not 1 <= k < n:
         raise ValueError(f"target dimension must satisfy 1 <= k < n={n}, got {k}")
@@ -140,16 +147,9 @@ def principal_coordinates(vectors, k: int) -> Embedding:
     kept = min(k, rank)
     coordinates = np.zeros((n, k))
     coordinates[:, :kept] = u[:, :kept] * s[:kept]
-    _orient_axes(coordinates)
     eigenvalues = np.zeros(k)
     eigenvalues[:kept] = s[:kept] ** 2
-
-    return Embedding(
-        coordinates=coordinates,
-        eigenvalues=eigenvalues,
-        stress=_stress(coordinates, _distance_blocks(points)),
-        negative_eigenvalue_ratio=0.0,
-    )
+    return _orient_axes(coordinates), eigenvalues
 
 
 def _orient_axes(coordinates: np.ndarray) -> np.ndarray:

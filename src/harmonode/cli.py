@@ -2,8 +2,10 @@
 
 Subcommands mirror the analysis stages: analyze (statics), descriptors
 (signatures), distances, mds, cluster, complexity, and sweep (design-space
-study). Every run is deterministic for fixed inputs, flags and seed; CSV
-artifacts are byte-identical across repeats.
+study). descriptors and sweep write node signatures to CSV; distances, mds,
+cluster and complexity read only such a file. Every run is deterministic for
+fixed inputs, flags and seed; CSV artifacts are byte-identical across
+repeats.
 
 Exit codes: 0 success, 1 pipeline or data error, 2 usage or I/O error.
 """
@@ -18,7 +20,9 @@ import warnings
 from pathlib import Path
 
 from . import exports, svgplot
-from .analysis import _as_points, complexity_score, kmeans, min_enclosing_ball, principal_coordinates
+from .analysis import (
+    _as_points, _principal_axes, complexity_score, kmeans, min_enclosing_ball, principal_coordinates
+)
 from .descriptor import (
     AMPLITUDE_MAGNITUDE,
     AMPLITUDE_SIGNED,
@@ -75,39 +79,39 @@ def _build_parser() -> argparse.ArgumentParser:
         default=AMPLITUDE_MAGNITUDE,
         help="bump amplitudes: magnitudes or signed by sense (default magnitude)",
     )
-    demands = argparse.ArgumentParser(add_help=False)
-    demands.add_argument("--include-loads", action="store_true", help="add applied loads to demands")
-    demands.add_argument("--include-reactions", action="store_true", help="add reactions to demands")
-    common = [signature, demands, statics, output]
 
     p = sub.add_parser("analyze", parents=[statics, output], help="solve one load case, export CSV results")
     p.add_argument("model", help="path to a .truss.json model")
     p.set_defaults(handler=cmd_analyze)
 
-    p = sub.add_parser("descriptors", parents=common, help="export per-node feature vectors")
+    p = sub.add_parser(
+        "descriptors", parents=[signature, statics, output], help="export per-node feature vectors"
+    )
     p.add_argument("model", help="path to a .truss.json model")
+    p.add_argument("--include-loads", action="store_true", help="add applied loads to demands")
+    p.add_argument("--include-reactions", action="store_true", help="add reactions to demands")
     p.add_argument(
         "--write-expansions", action="store_true", help="also export per-node coefficient files"
     )
     p.set_defaults(handler=cmd_descriptors)
 
-    p = sub.add_parser("distances", parents=common, help="pairwise distance matrix + heatmap")
-    p.add_argument("input", help="model file or feature_vectors.csv")
+    p = sub.add_parser("distances", parents=[output], help="pairwise distance matrix + heatmap")
+    p.add_argument("input", help="feature_vectors.csv from descriptors or sweep")
     p.set_defaults(handler=cmd_distances)
 
-    p = sub.add_parser("mds", parents=common, help="low-dimensional embedding + scatter")
-    p.add_argument("input", help="model file or feature_vectors.csv")
+    p = sub.add_parser("mds", parents=[output], help="low-dimensional embedding + scatter")
+    p.add_argument("input", help="feature_vectors.csv from descriptors or sweep")
     p.add_argument("--dims", type=int, default=2, help="embedding dimension (default 2)")
     p.set_defaults(handler=cmd_mds)
 
-    p = sub.add_parser("cluster", parents=common, help="k-means grouping of node signatures")
-    p.add_argument("input", help="model file or feature_vectors.csv")
+    p = sub.add_parser("cluster", parents=[output], help="k-means grouping of node signatures")
+    p.add_argument("input", help="feature_vectors.csv from descriptors or sweep")
     p.add_argument("--k", type=int, default=10, help="number of clusters (default 10)")
     p.add_argument("--seed", type=int, default=0, help="clustering seed (default 0)")
     p.set_defaults(handler=cmd_cluster)
 
-    p = sub.add_parser("complexity", parents=common, help="minimal enclosing sphere radius")
-    p.add_argument("input", help="model file or feature_vectors.csv")
+    p = sub.add_parser("complexity", parents=[output], help="minimal enclosing sphere radius")
+    p.add_argument("input", help="feature_vectors.csv from descriptors or sweep")
     p.set_defaults(handler=cmd_complexity)
 
     p = sub.add_parser("sweep", parents=[signature, output], help="design-space study over sampled variants")
@@ -137,30 +141,11 @@ def _load_model(path: str) -> TrussModel:
     return model
 
 
-def _model_signatures(args, model: TrussModel):
-    """Run the pipeline on a model: its feature vectors and, by node, the expansions they come from."""
-    result = solve(model, args.load_case)
-    demands = extract_demands(
-        model,
-        result,
-        include_applied_loads=args.include_loads,
-        include_reactions=args.include_reactions,
-    )
-    expansions = node_expansions(
-        demands, args.delta, args.lmax, kernel=args.kernel, amplitude_mode=args.amplitude
-    )
-    vectors = [energy_vector(e, d.node) for d, e in zip(demands, expansions)]
-    return vectors, {d.node: e for d, e in zip(demands, expansions)}
-
-
 def _input_vectors(args):
     path = Path(args.input)
     if not path.exists():
         raise FileNotFoundError(f"input file not found: {args.input}")
-    if path.suffix.lower() == ".csv":
-        return exports.read_feature_vectors_csv(path)
-    vectors, _ = _model_signatures(args, _load_model(args.input))
-    return vectors
+    return exports.read_feature_vectors_csv(path)
 
 
 def cmd_analyze(args) -> int:
@@ -179,12 +164,20 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_descriptors(args) -> int:
-    vectors, expansions = _model_signatures(args, _load_model(args.model))
+    model = _load_model(args.model)
+    result = solve(model, args.load_case)
+    demands = extract_demands(
+        model, result, include_applied_loads=args.include_loads, include_reactions=args.include_reactions
+    )
+    expansions = node_expansions(
+        demands, args.delta, args.lmax, kernel=args.kernel, amplitude_mode=args.amplitude
+    )
+    vectors = [energy_vector(e, d.node) for d, e in zip(demands, expansions)]
     out = _out_dir(args)
     exports.write_feature_vectors_csv(out / "feature_vectors.csv", vectors)
     if args.write_expansions:
-        for node, expansion in expansions.items():
-            exports.write_expansion_csv(out / f"expansion_{node:04d}.csv", expansion)
+        for demand, expansion in zip(demands, expansions):
+            exports.write_expansion_csv(out / f"expansion_{demand.node:04d}.csv", expansion)
     print(f"wrote {len(vectors)} feature vectors of length {args.lmax + 1}")
     return 0
 
@@ -229,10 +222,10 @@ def cmd_cluster(args) -> int:
     exports.write_clusters_csv(out / "clusters.csv", assignment)
     exports.write_cluster_summary_csv(out / "cluster_summary.csv", assignment)
     if len(vectors) > 2:
-        embedding = principal_coordinates(points, 2)
+        coordinates, _ = _principal_axes(points, 2)
         (out / "clusters.svg").write_text(
             svgplot.scatter(
-                embedding.coordinates,
+                coordinates,
                 labels=assignment.labels,
                 title=f"{args.k} signature clusters (label order: increasing radius)",
                 x_label="coord 0",
@@ -248,16 +241,16 @@ def cmd_cluster(args) -> int:
 
 
 def cmd_complexity(args) -> int:
-    vectors = _input_vectors(args)
-    radius = complexity_score(vectors)
+    points, _ = _as_points(_input_vectors(args))
+    radius = complexity_score(points)
     summary: dict[str, float | int | str] = {
         "complexity_radius": radius,
-        "n_nodes": len(vectors),
-        "n_components": len(vectors[0]),
+        "n_nodes": points.shape[0],
+        "n_components": points.shape[1],
     }
-    if len(vectors) > 2:
-        embedding = principal_coordinates(vectors, 2)
-        summary["complexity_radius_2d"] = min_enclosing_ball(embedding.coordinates).radius
+    if points.shape[0] > 2:
+        coordinates, _ = _principal_axes(points, 2)
+        summary["complexity_radius_2d"] = min_enclosing_ball(coordinates).radius
     out = _out_dir(args)
     exports.write_summary_csv(out / "summary.csv", summary)
     print(f"complexity_radius: {radius!r}")

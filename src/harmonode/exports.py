@@ -57,15 +57,18 @@ def write_feature_vectors_csv(path: Path, vectors: list[FeatureVector]) -> None:
 def read_feature_vectors_csv(path: Path) -> list[FeatureVector]:
     """Read a feature_vectors.csv; a bad row's error names the file and line.
 
-    Every row has the header's length, an integer or blank node id and
-    finite numbers. A blank id stands for the row's position, counted from
-    0 as in analysis._as_points, and no node id appears twice.
+    The header is node_id and at least one component column. Every row has
+    the header's length, an integer or blank node id and finite numbers. A
+    blank id stands for the row's position, counted from 0 as in
+    analysis._as_points, and no node id appears twice.
     """
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
         header = next(reader, None)
         if not header or header[0] != "node_id":
-            raise ValueError(f"{path}: not a feature vector file (header {header})")
+            raise ValueError(f"{path}: not a feature vector file; `harmonode descriptors` writes one from a model")
+        if len(header) < 2:
+            raise ValueError(f"{path}, line 1: the header names no signature component")
         vectors = []
         first_lines: dict[int, int] = {}
         for row in reader:

@@ -41,6 +41,26 @@ def family_path(tmp_path):
     return path
 
 
+SIGNATURE_FLAGS = [
+    ["--delta", "5"], ["--lmax", "8"], ["--kernel", "coordinate"], ["--amplitude", "signed"],
+    ["--include-loads"], ["--include-reactions"],
+]
+DOWNSTREAM = ["distances", "mds", "cluster", "complexity"]
+
+
+@pytest.fixture()
+def two_bar_features(two_bar_path, tmp_path):
+    """The two-bar model's feature_vectors.csv, as descriptors writes it."""
+    out = tmp_path / "signatures"
+    assert main(["descriptors", str(two_bar_path), "--out", str(out)]) == 0
+    return out / "feature_vectors.csv"
+
+
+def bad_row(row: str) -> str:
+    """A feature CSV whose line 3 is the given row."""
+    return f"node_id,fv_0,fv_1\n1,1.0,2.0\n{row}\n2,4.0,5.0\n"
+
+
 def read_csv(path: Path) -> list[dict]:
     with open(path, newline="") as handle:
         return list(csv.DictReader(handle))
@@ -95,15 +115,20 @@ class TestAnalyze:
         assert main(["analyze", str(path), "--out", str(tmp_path / "c")]) == 1
 
     @pytest.mark.parametrize(
-        "flag",
-        [["--delta", "5"], ["--lmax", "8"], ["--kernel", "coordinate"], ["--amplitude", "signed"],
-         ["--include-loads"], ["--include-reactions"]],
-        ids=lambda flag: flag[0],
+        "command, flag",
+        # analyze only solves statics; the downstream commands read signatures
+        # from a CSV, so each would silently ignore these. analyze's cases keep
+        # the bare flag as their id.
+        [pytest.param("analyze", flag, id=flag[0]) for flag in SIGNATURE_FLAGS]
+        + [
+            pytest.param(command, flag, id=f"{command} {flag[0]}")
+            for command in DOWNSTREAM
+            for flag in SIGNATURE_FLAGS + [["--load-case", "default"]]
+        ],
     )
-    def test_signature_flags_rejected(self, two_bar_path, tmp_path, capsys, flag):
-        # analyze only solves statics, so it would silently ignore these
+    def test_signature_flags_rejected(self, two_bar_path, tmp_path, capsys, command, flag):
         with pytest.raises(SystemExit) as excinfo:
-            main(["analyze", str(two_bar_path), *flag, "--out", str(tmp_path)])
+            main([command, str(two_bar_path), *flag, "--out", str(tmp_path)])
         assert excinfo.value.code == 2
         assert flag[0] in capsys.readouterr().err
 
@@ -192,16 +217,16 @@ class TestDescriptors:
 
 
 class TestDownstreamCommands:
-    def test_distances_outputs(self, two_bar_path, tmp_path):
+    def test_distances_outputs(self, two_bar_features, tmp_path):
         out = tmp_path / "dist"
-        assert main(["distances", str(two_bar_path), "--out", str(out)]) == 0
+        assert main(["distances", str(two_bar_features), "--out", str(out)]) == 0
         assert_valid_svg(out / "distance_matrix.svg")
         rows = read_csv(out / "distance_matrix.csv")
         assert len(rows) == 3
 
-    def test_identical_twins_render_white_cells(self, two_bar_path, tmp_path):
+    def test_identical_twins_render_white_cells(self, two_bar_features, tmp_path):
         out = tmp_path / "twins"
-        assert main(["distances", str(two_bar_path), "--out", str(out)]) == 0
+        assert main(["distances", str(two_bar_features), "--out", str(out)]) == 0
         rows = read_csv(out / "distance_matrix.csv")
         # the two feet of the symmetric frame are twins: distance ~ 0
         d01 = float(rows[0]["1"])
@@ -210,16 +235,16 @@ class TestDownstreamCommands:
         svg = (out / "distance_matrix.svg").read_text()
         assert 'fill="rgb(255,255,255)"' in svg
 
-    def test_mds_outputs(self, two_bar_path, tmp_path):
+    def test_mds_outputs(self, two_bar_features, tmp_path):
         out = tmp_path / "mds"
-        assert main(["mds", str(two_bar_path), "--out", str(out)]) == 0
+        assert main(["mds", str(two_bar_features), "--out", str(out)]) == 0
         assert_valid_svg(out / "mds.svg")
         rows = read_csv(out / "mds.csv")
         assert list(rows[0]) == ["node_id", "coord_0", "coord_1"]
 
-    def test_cluster_outputs(self, two_bar_path, tmp_path):
+    def test_cluster_outputs(self, two_bar_features, tmp_path):
         out = tmp_path / "clu"
-        assert main(["cluster", str(two_bar_path), "--k", "2", "--out", str(out)]) == 0
+        assert main(["cluster", str(two_bar_features), "--k", "2", "--out", str(out)]) == 0
         labels = read_csv(out / "clusters.csv")
         assert len(labels) == 3
         summary = read_csv(out / "cluster_summary.csv")
@@ -244,26 +269,42 @@ class TestDownstreamCommands:
         assert main(["distances", str(out / "feature_vectors.csv"), "--out", str(out)]) == 0
         assert main(["complexity", str(out / "feature_vectors.csv"), "--out", str(out)]) == 0
 
-    @pytest.mark.parametrize("command", ["distances", "mds", "cluster", "complexity"])
+    @pytest.mark.parametrize("command", DOWNSTREAM)
     @pytest.mark.parametrize(
-        "row, message",
+        "text, line, message",
         [
-            ("1,3.0", "2 fields, but the header has 3"),
-            ("1,3.0,4.0,5.0", "4 fields, but the header has 3"),
-            ("1,abc,4.0", "'abc'"),
-            ("1,nan,4.0", "finite"),
-            ("1,3.0,4.0", "node id 1 already on line 2"),
+            (bad_row("1,3.0"), 3, "2 fields, but the header has 3"),
+            (bad_row("1,3.0,4.0,5.0"), 3, "4 fields, but the header has 3"),
+            (bad_row("1,abc,4.0"), 3, "'abc'"),
+            (bad_row("1,nan,4.0"), 3, "finite"),
+            (bad_row("1,3.0,4.0"), 3, "node id 1 already on line 2"),
             # a blank id is the row's position, 1, which line 2 already names
-            (",3.0,4.0", "node id 1 already on line 2"),
+            (bad_row(",3.0,4.0"), 3, "node id 1 already on line 2"),
+            # rows of zero-length signatures
+            ("node_id\n1\n2\n3\n", 1, "the header names no signature component"),
         ],
-        ids=["short-row", "long-row", "not-a-number", "non-finite", "duplicate-id", "blank-id-duplicate"],
+        ids=[
+            "short-row", "long-row", "not-a-number", "non-finite", "duplicate-id", "blank-id-duplicate",
+            "no-components",
+        ],
     )
-    def test_malformed_feature_csv_names_the_line(self, tmp_path, capsys, command, row, message):
+    def test_malformed_feature_csv_names_the_line(self, tmp_path, capsys, command, text, line, message):
         bad = tmp_path / "feature_vectors.csv"
-        bad.write_text(f"node_id,fv_0,fv_1\n1,1.0,2.0\n{row}\n2,4.0,5.0\n")
+        bad.write_text(text)
         assert main([command, str(bad), "--out", str(tmp_path)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {bad}, line 3: ") and message in err
+        assert err.startswith(f"error: {bad}, line {line}: ") and message in err
+
+    def test_model_input_is_refused(self, example_model_path, tmp_path, capsys):
+        assert main(["cluster", str(example_model_path), "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {example_model_path}: ") and "harmonode descriptors" in err
+
+    @pytest.mark.parametrize("command", DOWNSTREAM)
+    def test_missing_input_exits_two(self, tmp_path, capsys, command):
+        missing = tmp_path / "nope.csv"
+        assert main([command, str(missing), "--out", str(tmp_path)]) == 2
+        assert str(missing) in capsys.readouterr().err
 
     def test_products_share_node_ids(self, tmp_path):
         # Rows without a node id are labelled by their position, everywhere.
@@ -288,7 +329,8 @@ class TestDownstreamCommands:
             "import sys\n"
             "from harmonode.cli import main\n"
             f"model, out = {str(example_model_path)!r}, {str(tmp_path)!r}\n"
-            "for argv in (['descriptors', model], ['cluster', model, '--k', '2'], ['complexity', model]):\n"
+            "features = out + '/feature_vectors.csv'\n"
+            "for argv in (['descriptors', model], ['cluster', features, '--k', '2'], ['complexity', features]):\n"
             "    assert main(argv + ['--out', out]) == 0, argv\n"
             "loaded = sorted(name for name in sys.modules if name.split('.')[0] == 'scipy')\n"
             "assert not loaded, loaded\n"
