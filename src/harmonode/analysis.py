@@ -17,9 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 DEFAULT_K = 10
-DEFAULT_RESTARTS = 10
-DEFAULT_KMEANS_MAX_ITER = 300
 DEFAULT_BALL_TOL = 1e-7
+_KMEANS_RESTARTS = 10
+_KMEANS_MAX_ITER = 300
 
 # Rows per block of pairwise distances: the differences of a block to every
 # point are a (block, n, d) temporary, never (n, n, d).
@@ -293,19 +293,13 @@ def complexity_score(vectors) -> float:
     return min_enclosing_ball(vectors).radius
 
 
-def kmeans(
-    vectors,
-    k: int = DEFAULT_K,
-    seed: int = 0,
-    max_iter: int = DEFAULT_KMEANS_MAX_ITER,
-    restarts: int = DEFAULT_RESTARTS,
-) -> ClusterAssignment:
+def kmeans(vectors, k: int = DEFAULT_K, seed: int = 0) -> ClusterAssignment:
     """Seeded k-means over node signatures, best of several restarts.
 
-    Each restart draws k-means++ centers from its own deterministic stream,
-    then runs Lloyd iterations to an assignment fixpoint (or max_iter). The
-    run with the smallest within-cluster sum of squares wins; ties keep the
-    earliest run. Clusters are finally relabelled in order of increasing
+    Each of _KMEANS_RESTARTS restarts draws k-means++ centers from its own
+    deterministic stream, then runs Lloyd iterations to an assignment
+    fixpoint (or _KMEANS_MAX_ITER of them). The run with the smallest
+    within-cluster sum of squares wins; ties keep the earliest run. Clusters are finally relabelled in order of increasing
     bounding-sphere radius (ties by smallest member node id), so label 0 is
     always the most uniform group.
     """
@@ -314,13 +308,11 @@ def kmeans(
     n_distinct = np.unique(points, axis=0).shape[0]
     if not 1 <= k <= n_distinct:
         raise ValueError(f"k must satisfy 1 <= k <= {n_distinct} distinct vectors, got {k}")
-    if restarts < 1:
-        raise ValueError(f"restarts must be at least 1, got {restarts}")
 
     best: tuple[float, np.ndarray, tuple[float, ...]] | None = None
-    for run in range(restarts):
+    for run in range(_KMEANS_RESTARTS):
         rng = np.random.default_rng((seed, run))
-        labels, history = _lloyd(points, k, rng, max_iter)
+        labels, history = _lloyd(points, k, rng)
         inertia = history[-1]
         if best is None or inertia < best[0] - 1e-12:
             best = (inertia, labels, history)
@@ -351,11 +343,11 @@ def kmeans(
     )
 
 
-def _lloyd(points: np.ndarray, k: int, rng, max_iter: int):
+def _lloyd(points: np.ndarray, k: int, rng):
     centroids = _kmeans_plus_plus(points, k, rng)
     labels = np.full(points.shape[0], -1)
     history: list[float] = []
-    for _ in range(max_iter):
+    for _ in range(_KMEANS_MAX_ITER):
         dist2 = ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=-1)
         new_labels = np.argmin(dist2, axis=1)
         history.append(float(dist2[np.arange(points.shape[0]), new_labels].sum()))

@@ -1,11 +1,12 @@
 """Linear-elastic direct-stiffness analysis of pin-jointed space trusses.
 
-Covers the stiffness solve, per-node axial demand extraction, and the
-iterative strength-based member sizing loop. The free-DOF stiffness is
-factorized once, by a dense Cholesky that serves both the pivot-magnitude
-singularity check (threshold 1e-12 times the largest stiffness diagonal) and
-the solve, by blocked forward and back substitution; sized for desk-scale
-models.
+Covers the stiffness solve, per-node axial demand extraction, member mass
+and the iterative strength-based member sizing loop. All three read member
+geometry (end nodes, lengths, unit vectors) from one table, _members, so
+they agree to the last bit. The free-DOF stiffness is factorized once, by a
+dense Cholesky that serves both the pivot-magnitude singularity check
+(threshold 1e-12 times the largest stiffness diagonal) and the solve, by
+blocked forward and back substitution; sized for desk-scale models.
 """
 
 from __future__ import annotations
@@ -20,12 +21,14 @@ from .model import Point3, TrussElement, TrussModel
 TENSION = "tension"
 COMPRESSION = "compression"
 
-# Sizing defaults: mild structural steel with a strength safety factor and a
-# floor at the smallest standard hollow section. All overridable.
+# The sizing rule, fixed: mild structural steel with a strength safety factor
+# and a floor at the smallest standard hollow section. Passes stop once no
+# area changes by more than _SIZING_RTOL relative.
 STEEL_DENSITY = 7850.0
 STEEL_YIELD_STRESS = 345e6
-DEFAULT_SAFETY_FACTOR = 1.67
-DEFAULT_MIN_AREA = 400e-6
+SAFETY_FACTOR = 1.67
+MIN_AREA = 400e-6
+_SIZING_RTOL = 1e-3
 
 _AXES = ("x", "y", "z")
 _PIVOT_RTOL = 1e-12
@@ -122,15 +125,8 @@ def solve(model: TrussModel, load_case: str | None = None) -> AnalysisResult:
         raise ValueError(f"no loads defined for case {case!r}")
 
     node_ids = [n.id for n in model.nodes]
-    index = {nid: i for i, nid in enumerate(node_ids)}
-    pos = np.array([n.position.as_tuple() for n in model.nodes])
+    index, ends, length, unit = _members(model)
     n_dof = 3 * len(node_ids)
-
-    # Batched (1x3)(3x1) products round like np.linalg.norm's 1-D dot.
-    ends = np.array([(index[e.start], index[e.end]) for e in model.elements], dtype=int).reshape(-1, 2)
-    span = pos[ends[:, 1]] - pos[ends[:, 0]]
-    length = np.sqrt(span[:, None, :] @ span[:, :, None])[:, 0, 0]
-    unit = span / length[:, None]
     stiffness = np.array([el.youngs_modulus * el.area for el in model.elements]) / length
 
     # Each member adds k * [[uu', -uu'], [-uu', uu']] at its two nodes' DOFs.
@@ -169,15 +165,28 @@ def solve(model: TrussModel, load_case: str | None = None) -> AnalysisResult:
     axial = dict(zip((el.id for el in model.elements), (stiffness * stretch).tolist()))
 
     displacements = {nid: Point3(*nodal[i]) for nid, i in index.items()}
-    # only restrained components carry reactions; free ones hold solver round-off
-    net = residual.reshape(-1, 3)
-    reactions = {
-        s.node: Point3(*(r if fixed else 0.0 for r, fixed in zip(net[index[s.node]], s.fixed)))
-        for s in model.supports
-    }
+    # Only restrained components carry reactions; free ones hold solver
+    # round-off. The mask merges every support entry of a node.
+    net = np.where(fixed, residual, 0.0).reshape(-1, 3)
+    reactions = {s.node: Point3(*net[index[s.node]]) for s in model.supports}
     return AnalysisResult(
         displacements=displacements, axial_forces=axial, reactions=reactions, load_case=case
     )
+
+
+def _members(model: TrussModel):
+    """Member geometry: node rows by id and, per element in model order, its
+    end rows (m, 2), length (m,) and start-to-end unit vector (m, 3).
+
+    Lengths are batched (1x3)(3x1) products, which round like
+    np.linalg.norm's 1-D dot.
+    """
+    index = {n.id: i for i, n in enumerate(model.nodes)}
+    pos = np.array([n.position.as_tuple() for n in model.nodes])
+    ends = np.array([(index[e.start], index[e.end]) for e in model.elements], dtype=int).reshape(-1, 2)
+    span = pos[ends[:, 1]] - pos[ends[:, 0]]
+    length = np.sqrt(span[:, None, :] @ span[:, :, None])[:, 0, 0]
+    return index, ends, length, span / length[:, None]
 
 
 def _check_pivots(kff: np.ndarray, free: np.ndarray, node_ids: list[int]) -> np.ndarray:
@@ -256,15 +265,16 @@ def extract_demands(
     Returns one NodalDemand per node, ordered by node id, with member entries
     ordered by element id.
     """
-    positions = {n.id: n.position for n in model.nodes}
+    _, _, _, unit = _members(model)
+    # 0 - u, not -u: a zero component stays +0.0, which atan2 tells from -0.0.
+    ahead, back = unit.tolist(), (0.0 - unit).tolist()
     by_node: dict[int, list[DemandEntry]] = {n.id: [] for n in model.nodes}
 
-    for el in sorted(model.elements, key=lambda e: e.id):
+    for row, el in sorted(enumerate(model.elements), key=lambda item: item[1].id):
         force = result.axial_forces[el.id]
         sense = TENSION if force >= 0 else COMPRESSION
-        for nid, other in ((el.start, el.end), (el.end, el.start)):
-            direction = _unit_between(positions[nid], positions[other])
-            by_node[nid].append(DemandEntry(direction, abs(force), sense))
+        by_node[el.start].append(DemandEntry(tuple(ahead[row]), abs(force), sense))
+        by_node[el.end].append(DemandEntry(tuple(back[row]), abs(force), sense))
 
     if include_applied_loads:
         for load in model.loads:
@@ -285,12 +295,6 @@ def extract_demands(
     ]
 
 
-def _unit_between(a: Point3, b: Point3) -> tuple[float, float, float]:
-    d = (b.x - a.x, b.y - a.y, b.z - a.z)
-    norm = math.sqrt(d[0] * d[0] + d[1] * d[1] + d[2] * d[2])
-    return (d[0] / norm, d[1] / norm, d[2] / norm)
-
-
 def _vector_entry(vector: Point3) -> DemandEntry | None:
     norm = math.sqrt(vector.x**2 + vector.y**2 + vector.z**2)
     if norm == 0.0:
@@ -298,35 +302,20 @@ def _vector_entry(vector: Point3) -> DemandEntry | None:
     return DemandEntry((vector.x / norm, vector.y / norm, vector.z / norm), norm, TENSION)
 
 
-def model_mass(model: TrussModel, density: float = STEEL_DENSITY) -> float:
-    """Total member mass: sum of density * area * length over elements."""
-    positions = {n.id: n.position for n in model.nodes}
-    total = 0.0
-    for el in model.elements:
-        length = math.dist(
-            positions[el.start].as_tuple(), positions[el.end].as_tuple()
-        )
-        total += density * el.area * length
-    return total
+def model_mass(model: TrussModel) -> float:
+    """Total member mass: steel density times the sum of area * length."""
+    _, _, length, _ = _members(model)
+    return STEEL_DENSITY * float(np.array([el.area for el in model.elements]) @ length)
 
 
-def size_members(
-    model: TrussModel,
-    yield_stress: float = STEEL_YIELD_STRESS,
-    safety_factor: float = DEFAULT_SAFETY_FACTOR,
-    min_area: float = DEFAULT_MIN_AREA,
-    density: float = STEEL_DENSITY,
-    max_iter: int = 20,
-    tol: float = 1e-3,
-    load_case: str | None = None,
-) -> SizingResult:
+def size_members(model: TrussModel, max_iter: int = 20, load_case: str | None = None) -> SizingResult:
     """Strength-size every member, re-solving until areas stop changing.
 
     Each pass solves the current model and sets each area to
-    max(min_area, |N| * safety_factor / yield_stress); stiffness
+    max(MIN_AREA, |N| * SAFETY_FACTOR / STEEL_YIELD_STRESS); stiffness
     redistribution changes the forces, so passes repeat until the largest
-    relative area change is at or below tol or max_iter is reached. For a
-    statically determinate truss the forces never change, so the loop
+    relative area change is at or below _SIZING_RTOL or max_iter is reached.
+    For a statically determinate truss the forces never change, so the loop
     converges in at most two passes.
 
     Non-convergence is reported through the converged flag, not an error.
@@ -338,7 +327,7 @@ def size_members(
     for iterations in range(1, max_iter + 1):
         axial = solve(current, load_case).axial_forces
         forces = np.array([axial[el.id] for el in current.elements])
-        new_areas = np.maximum(min_area, np.abs(forces) * safety_factor / yield_stress)
+        new_areas = np.maximum(MIN_AREA, np.abs(forces) * SAFETY_FACTOR / STEEL_YIELD_STRESS)
         worst_change = float((np.abs(new_areas - areas) / areas).max(initial=0.0))
         areas = new_areas
         elements = tuple(
@@ -346,10 +335,10 @@ def size_members(
             for el, a in zip(current.elements, areas.tolist())
         )
         current = replace(current, elements=elements)
-        converged = worst_change <= tol
+        converged = worst_change <= _SIZING_RTOL
         if converged:
             break
-    total_mass = model_mass(current, density)
+    total_mass = model_mass(current)
     mass_per_area = (
         total_mass / current.enclosure_area if current.enclosure_area is not None else None
     )

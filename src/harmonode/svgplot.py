@@ -160,19 +160,17 @@ def parallel_coordinates(rows, labels=None, title: str = "") -> str:
     body = frame.axes("component", "energy")
     if title:
         body.append(_text(frame.width / 2, 24, title, size=14, anchor="middle"))
-    for axis in range(n_axes):
-        x = _fmt(frame.x(axis))
+    # Every polyline crosses the same axes: format their x positions once.
+    xs = [_fmt(frame.x(axis)) for axis in range(n_axes)]
+    for axis, x in enumerate(xs):
         body.append(
             f'<line x1="{x}" y1="{frame.margin}" x2="{x}" '
             f'y2="{frame.height - frame.margin}" stroke="#dddddd" stroke-width="1"/>'
         )
         if axis % max(1, n_axes // 8) == 0 or axis == n_axes - 1:
             body.append(_text(frame.x(axis), frame.height - frame.margin + 16, str(axis), size=9, anchor="middle"))
-    order = range(n_rows)
-    for i in order:
-        points = " ".join(
-            f"{_fmt(frame.x(axis))},{_fmt(frame.y(data[i, axis]))}" for axis in range(n_axes)
-        )
+    for i in range(n_rows):
+        points = " ".join(f"{x},{_fmt(frame.y(value))}" for x, value in zip(xs, data[i]))
         color = group_color(int(labels[i])) if labels is not None else "#1f77b4"
         body.append(
             f'<polyline points="{points}" fill="none" stroke="{color}" '

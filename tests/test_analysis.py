@@ -320,7 +320,7 @@ class TestKmeans:
     def test_objective_non_increasing(self):
         rng = np.random.default_rng(113)
         points = rng.normal(size=(60, 5))
-        assignment = kmeans(points, k=4, seed=0, restarts=3)
+        assignment = kmeans(points, k=4, seed=0)
         history = assignment.objective_history
         assert all(history[i + 1] <= history[i] + 1e-9 for i in range(len(history) - 1))
 

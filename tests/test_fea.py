@@ -149,6 +149,17 @@ class TestSolve:
             net[index[node]] += reaction.as_tuple()
         assert np.linalg.norm(net + f) <= 1e-10 * np.linalg.norm(f)
 
+    def test_split_support_entries_merge_their_reactions(self):
+        # Node 0's (T, T, T) support given as (T, F, F) + (F, T, T): the same structure.
+        model = two_bar_model()
+        split = (Support(0, (True, False, False)), Support(0, (False, True, True)))
+        result = solve(replace(model, supports=split + model.supports[1:]))
+        merged = solve(model)
+        assert result.axial_forces == merged.axial_forces
+        assert result.reactions == merged.reactions
+        assert list(result.reactions) == [0, 1, 2]
+        assert abs(result.reactions[0].x) == pytest.approx(500.0, rel=1e-12)
+
     def test_reaction_balance(self, flat_model):
         result = solve(flat_model)
         reactions = np.array([r.as_tuple() for r in result.reactions.values()]).sum(axis=0)
@@ -306,7 +317,7 @@ class TestSizeMembers:
 
     def test_mass_formula(self):
         model = single_bar_model(length=2.0)
-        assert model_mass(model, density=7850.0) == pytest.approx(7850.0 * BAR_AREA * 2.0)
+        assert model_mass(model) == pytest.approx(7850.0 * BAR_AREA * 2.0)
 
 
 def test_generated_models_round_trip_through_serialization(flat_model):

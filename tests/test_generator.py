@@ -1,9 +1,11 @@
 import csv
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from harmonode import fea
 from harmonode.analysis import complexity_score
 from harmonode.descriptor import AMPLITUDE_MAGNITUDE, AMPLITUDE_SIGNED, node_feature_vectors
 from harmonode.fea import extract_demands, size_members, solve
@@ -316,3 +318,43 @@ def test_signatures_scale_with_the_loads_and_ignore_their_sense(n):
             largest = np.abs(base).max(axis=1, keepdims=True)
             assert np.all(np.abs(signatures(3.7, mode) - 3.7 * base) <= 1e-12 * 3.7 * largest)
             assert np.all(np.abs(signatures(-1.0, mode) - base) <= 1e-12 * largest)
+
+
+@pytest.mark.parametrize("n", [5, 7])
+def test_demands_read_the_member_table(n):
+    # Each element's two entries are exact negatives, and equal its member-table unit row.
+    for design, model in sized_readme_designs(n, seed=200 + n):
+        demands = extract_demands(model, solve(model, design.load_case))
+        entries = {demand.node: iter(demand.entries) for demand in demands}
+        _, _, _, unit = fea._members(model)
+        for row, element in sorted(enumerate(model.elements), key=lambda item: item[1].id):
+            ahead, back = next(entries[element.start]), next(entries[element.end])
+            assert ahead.direction == tuple(unit[row].tolist())
+            assert back.direction == tuple(-c for c in ahead.direction)
+            # A zero component stays +0.0: atan2 puts -0.0 on the far side of its branch cut.
+            assert all(math.copysign(1.0, c) == 1.0 for c in back.direction if c == 0.0)
+            assert (back.magnitude, back.sense) == (ahead.magnitude, ahead.sense)
+        assert all(next(rest, None) is None for rest in entries.values())
+
+
+@pytest.mark.parametrize("n", [5, 7])
+def test_sizing_solves_once_per_pass_and_prices_one_mass(n, monkeypatch):
+    solved = []
+
+    def counting_solve(model, load_case=None):
+        solved.append(load_case)
+        return solve(model, load_case)
+
+    monkeypatch.setattr(fea, "solve", counting_solve)
+    params = replace(README_FAMILY, nx=n, ny=n)
+    for values in latin_hypercube(2, [(0.0, 2.0)] * free_control_cells(params), seed=300 + n):
+        design = apply_control_sample(params, values)
+        solved.clear()
+        sized = size_members(generate_grid_truss(design), load_case=design.load_case)
+        assert solved == [design.load_case] * sized.iterations
+        assert sized.total_mass == fea.model_mass(sized.model)
+        xyz = {node.id: node.position.as_tuple() for node in sized.model.nodes}
+        independent = 7850.0 * math.fsum(
+            el.area * math.dist(xyz[el.start], xyz[el.end]) for el in sized.model.elements
+        )
+        assert abs(sized.total_mass - independent) <= 1e-14 * independent
