@@ -3,10 +3,18 @@
 Covers the stiffness solve, per-node axial demand extraction, member mass
 and the iterative strength-based member sizing loop. All three read member
 geometry (end nodes, lengths, unit vectors) from one table, _members, so
-they agree to the last bit. The free-DOF stiffness is factorized once, by a
-dense Cholesky that serves both the pivot-magnitude singularity check
-(threshold 1e-12 times the largest stiffness diagonal) and the solve, by
-blocked forward and back substitution; sized for desk-scale models.
+they agree to the last bit. The solve numbers the free DOFs in reverse
+Cuthill-McKee node order (each node's three DOFs adjacent), which makes the
+free-DOF stiffness block tridiagonal for blocks of b = max(half-bandwidth,
+_SOLVE_BLOCK) rows; it stores only the diagonal and sub-diagonal blocks,
+about 2 * n_free * b doubles (8.4 MB for the 25x25 study design), and
+factors them by a block Cholesky. Equilibrium residual and reactions are
+summed member by member, so no dense stiffness matrix is formed. One is
+built, in the original DOF order, only when a band pivot falls to 1e-8
+times the largest stiffness diagonal or the band factor fails. Its pivot
+check (threshold 1e-12 times that diagonal) then decides whether the model
+is singular and names the first vanishing pivot's node and direction,
+whatever the band order.
 """
 
 from __future__ import annotations
@@ -32,9 +40,19 @@ _SIZING_RTOL = 1e-3
 
 _AXES = ("x", "y", "z")
 _PIVOT_RTOL = 1e-12
+# A band pivot at or below this share of the largest diagonal sends the model
+# to the original-order check. Band order spreads a mechanism's round-off
+# differently: on a 25x25 design with one pinned support and z-rollers its
+# smallest pivot was 1.7e-11 of the largest diagonal, above _PIVOT_RTOL,
+# while sound designs measured 1.6e-3 or more.
+_BAND_PIVOT_RTOL = 1e-8
 _EQUILIBRIUM_RTOL = 1e-8
-# Rows per diagonal block of the triangular solves.
+# The fewest rows per block of the band factor and its substitutions.
 _SOLVE_BLOCK = 64
+# Rows per block of the original-order pivot check. With 32 its pivots, and
+# the DOF it names, were the same under 1 and 2 BLAS threads on every
+# singular grid design tried (with 48 they were not).
+_PIVOT_BLOCK = 32
 
 
 class SingularStructureError(Exception):
@@ -115,9 +133,19 @@ def resolve_load_case(model: TrussModel, load_case: str | None) -> str:
 def solve(model: TrussModel, load_case: str | None = None) -> AnalysisResult:
     """Solve K u = f at the free DOFs for one load case.
 
+    The free DOFs are renumbered in reverse Cuthill-McKee node order and K is
+    assembled straight into block-tridiagonal storage (diagonal and
+    sub-diagonal blocks of b = max(half-bandwidth, _SOLVE_BLOCK) rows, about
+    2 * n_free * b doubles), then factored block by block. The equilibrium
+    residual and the reactions are B^T (k * B u) - f, summed member by
+    member. A dense free-DOF K, in the original DOF order, is built only when
+    the band factor meets a near-vanishing pivot, to name it.
+
     Axial force per element is (EA/L) * (u_end - u_start) . unit(start->end),
-    positive in tension. Raises SingularStructureError for mechanisms and
-    ValueError when the case has no loads.
+    positive in tension. Raises SingularStructureError for mechanisms,
+    ArithmeticError naming the node and direction of the largest residual
+    when equilibrium fails its 1e-8 gate, and ValueError when the case has no
+    loads.
     """
     case = resolve_load_case(model, load_case)
     loads = [l for l in model.loads if l.load_case == case]
@@ -133,8 +161,6 @@ def solve(model: TrussModel, load_case: str | None = None) -> AnalysisResult:
     grad = np.hstack([-unit, unit])
     dofs = np.hstack([3 * ends[:, :1] + np.arange(3), 3 * ends[:, 1:] + np.arange(3)])
     blocks = stiffness[:, None, None] * (grad[:, :, None] * grad[:, None, :])
-    K = np.zeros((n_dof, n_dof))
-    np.add.at(K, (dofs[:, :, None], dofs[:, None, :]), blocks)
 
     f = np.zeros(n_dof)
     for load in loads:
@@ -147,22 +173,26 @@ def solve(model: TrussModel, load_case: str | None = None) -> AnalysisResult:
 
     u = np.zeros(n_dof)
     if free.size:
-        kff = K[np.ix_(free, free)]
-        u[free] = _cholesky_solve(_check_pivots(kff, free, node_ids), f[free])
-
-    residual = K @ u - f
-    f_norm = float(np.linalg.norm(f))
-    res_norm = float(np.linalg.norm(residual[free])) if free.size else 0.0
-    if res_norm > _EQUILIBRIUM_RTOL * f_norm:
-        raise ArithmeticError(
-            f"equilibrium residual {res_norm:.3e} exceeds {_EQUILIBRIUM_RTOL:.0e} x |f| "
-            f"= {_EQUILIBRIUM_RTOL * f_norm:.3e}; the system is badly conditioned"
-        )
+        u[free] = _free_displacements(blocks, dofs, ends, fixed, f, node_ids)
 
     nodal = u.reshape(-1, 3)
     relative = nodal[ends[:, 1]] - nodal[ends[:, 0]]
     stretch = (relative[:, None, :] @ unit[:, :, None])[:, 0, 0]
-    axial = dict(zip((el.id for el in model.elements), (stiffness * stretch).tolist()))
+    axial_forces = stiffness * stretch
+    axial = dict(zip((el.id for el in model.elements), axial_forces.tolist()))
+
+    # K u = B^T (k * B u): each member pushes its force along grad onto its DOFs.
+    residual = -f
+    np.add.at(residual, dofs, grad * axial_forces[:, None])
+    f_norm = float(np.linalg.norm(f))
+    res_norm = float(np.linalg.norm(residual[free])) if free.size else 0.0
+    if res_norm > _EQUILIBRIUM_RTOL * f_norm:
+        node, axis = _dof_name(free[np.argmax(np.abs(residual[free]))], node_ids)
+        raise ArithmeticError(
+            f"equilibrium residual {res_norm:.3e} exceeds {_EQUILIBRIUM_RTOL:.0e} x |f| "
+            f"= {_EQUILIBRIUM_RTOL * f_norm:.3e}, largest at node {node} direction {axis}; "
+            "the system is badly conditioned"
+        )
 
     displacements = {nid: Point3(*nodal[i]) for nid, i in index.items()}
     # Only restrained components carry reactions; free ones hold solver
@@ -172,6 +202,131 @@ def solve(model: TrussModel, load_case: str | None = None) -> AnalysisResult:
     return AnalysisResult(
         displacements=displacements, axial_forces=axial, reactions=reactions, load_case=case
     )
+
+
+def _free_displacements(blocks, dofs, ends, fixed, f, node_ids) -> np.ndarray:
+    """u at the free DOFs, in DOF order, from the band factor in RCM order.
+
+    When a band pivot is at or below _BAND_PIVOT_RTOL of the largest diagonal
+    or a block factor fails, the free-DOF K is built densely in the original
+    order and _check_pivots names its first vanishing pivot, as the pivots of
+    the band order belong to other DOFs. If it finds none, u comes from its
+    dense factor.
+    """
+    order = _rcm_free_dofs(ends, fixed)
+    n = order.size
+    rank = np.full(fixed.size, -1)
+    rank[order] = np.arange(n)
+    rows = rank[dofs]
+    half_bandwidth = int((rows.max(axis=1) - np.where(rows >= 0, rows, n).min(axis=1)).max(initial=0))
+    diag, sub = _block_tridiagonal(blocks, rows, n, min(n, max(half_bandwidth, _SOLVE_BLOCK)))
+    largest = float(np.diagonal(diag, axis1=1, axis2=2).ravel()[:n].max(initial=0.0))
+    try:
+        factored = bool(np.all(_block_cholesky(diag, sub)[:n] > _BAND_PIVOT_RTOL * largest))
+    except np.linalg.LinAlgError:
+        factored = False
+    if factored:
+        u = np.empty(fixed.size)
+        u[order] = _block_solve(diag, sub, f[order])
+        return u[~fixed]
+
+    free = np.flatnonzero(~fixed)
+    rank[free] = np.arange(n)
+    diag, sub = _block_tridiagonal(blocks, rank[dofs], n, n)
+    chol = _check_pivots(diag[0], free, node_ids)
+    return _block_solve(chol[None], sub, f[free])
+
+
+def _rcm_free_dofs(ends: np.ndarray, fixed: np.ndarray) -> np.ndarray:
+    """The free DOFs in reverse Cuthill-McKee node order, each node's together.
+
+    Each connected part of the member graph is numbered breadth first from
+    its lowest-degree node, neighbours by ascending degree (ties by row);
+    the whole order is then reversed. Degree counts member ends.
+    """
+    n_nodes = fixed.size // 3
+    source = np.concatenate([ends[:, 0], ends[:, 1]])
+    target = np.concatenate([ends[:, 1], ends[:, 0]])
+    degree = np.bincount(source, minlength=n_nodes)
+    by_degree = np.argsort(degree, kind="stable")
+    place = np.empty(n_nodes, dtype=int)
+    place[by_degree] = np.arange(n_nodes)
+    neighbours = target[np.lexsort((place[target], source))].tolist()
+    first = np.concatenate([[0], np.cumsum(degree)]).tolist()
+    seen = [False] * n_nodes
+    order: list[int] = []
+    for start in by_degree.tolist():
+        if seen[start]:
+            continue
+        seen[start] = True
+        head = len(order)
+        order.append(start)
+        while head < len(order):
+            node = order[head]
+            for j in neighbours[first[node] : first[node + 1]]:
+                if not seen[j]:
+                    seen[j] = True
+                    order.append(j)
+            head += 1
+    node_dofs = (3 * np.array(order[::-1], dtype=int)[:, None] + np.arange(3)).ravel()
+    return node_dofs[~fixed[node_dofs]]
+
+
+def _block_tridiagonal(values: np.ndarray, rows: np.ndarray, n: int, b: int):
+    """Sum square blocks into block-tridiagonal storage of an n x n matrix.
+
+    values (m, k, k) adds at rows (m, k) x rows (m, k); a negative row is
+    dropped. Every retained pair must lie within b of the diagonal. Returns
+    views of one array: the diagonal blocks (nb, b, b), stored in full, and
+    the sub-diagonal blocks (nb - 1, b, b), block k holding rows of block
+    k + 1 against columns of block k. Rows past n pad the last diagonal block
+    with an identity. One np.add.at in block order keeps every entry's sum
+    order, so a single block (b = n) reproduces a dense assembly bit for bit.
+    """
+    nb = -(-n // b)
+    r, c = np.broadcast_arrays(rows[:, :, None], rows[:, None, :])
+    keep = (r >= 0) & (c >= 0) & (r // b >= c // b)
+    r, c = r[keep], c[keep]
+    block = np.where(r // b == c // b, r // b, nb + c // b)
+    storage = np.zeros((2 * nb - 1, b, b))
+    np.add.at(storage.reshape(-1), (block * b + r % b) * b + c % b, values[keep])
+    pad = np.arange(n - (nb - 1) * b, b)
+    storage[nb - 1, pad, pad] = 1.0
+    return storage[:nb], storage[nb:]
+
+
+def _block_cholesky(diag: np.ndarray, sub: np.ndarray) -> np.ndarray:
+    """Factor block-tridiagonal storage in place into L L^T; return the pivots.
+
+    Each step is one block Cholesky, one block solve for the next
+    sub-diagonal block and one block product for the next diagonal block.
+    The pivots, squared diagonals of L, come in storage order. Raises
+    np.linalg.LinAlgError when a diagonal block is not positive definite.
+    """
+    for k in range(len(diag)):
+        if k:
+            diag[k] -= sub[k - 1] @ sub[k - 1].T
+        diag[k] = np.linalg.cholesky(diag[k])
+        if k < len(sub):
+            sub[k] = np.linalg.solve(diag[k], sub[k].T).T
+    return np.diagonal(diag, axis1=1, axis2=2).ravel() ** 2
+
+
+def _block_solve(diag: np.ndarray, sub: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve L L^T x = rhs by forward, then back substitution over the blocks
+    of a factor from _block_cholesky (or a dense factor as one block)."""
+    nb, size = diag.shape[:2]
+    x = np.zeros((nb, size))
+    x.reshape(-1)[: rhs.size] = rhs
+    for k in range(nb):
+        if k:
+            x[k] -= sub[k - 1] @ x[k - 1]
+        x[k] = np.linalg.solve(diag[k], x[k])
+    for k in reversed(range(nb)):
+        if k + 1 < nb:
+            x[k] -= sub[k].T @ x[k + 1]
+        x[k] = np.linalg.solve(diag[k].T, x[k])
+    return x.reshape(-1)[: rhs.size]
 
 
 def _members(model: TrussModel):
@@ -190,38 +345,35 @@ def _members(model: TrussModel):
 
 
 def _check_pivots(kff: np.ndarray, free: np.ndarray, node_ids: list[int]) -> np.ndarray:
-    """The lower Cholesky factor of kff, once no pivot vanishes."""
-    threshold = _PIVOT_RTOL * float(np.max(np.diag(kff), initial=0.0))
-    try:
-        chol = np.linalg.cholesky(kff)
-    except np.linalg.LinAlgError:
-        raise _first_vanishing_pivot(kff, threshold, free, node_ids)
-    pivots = np.diag(chol) ** 2
-    vanishing = np.flatnonzero(pivots <= threshold)
-    if vanishing.size:
-        # The first vanishing pivot, as on the failure path: later ones are
-        # round-off that depends on how the factorization blocks its work.
-        first = vanishing[0]
-        node, axis = _dof_name(free[first], node_ids)
-        raise SingularStructureError(node, axis, float(pivots[first]))
-    return chol
+    """The lower Cholesky factor of kff, computed in place, once no pivot vanishes.
 
-
-def _cholesky_solve(chol: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve L L^T x = b by forward, then back substitution over row blocks.
-
-    Each diagonal block is solved directly; the rest of a block row enters
-    as one matrix-vector product, so the work stays O(n^2).
+    Left-looking over _PIVOT_BLOCK-row block columns: each takes its update
+    from the factored columns as one matrix product, then one small
+    np.linalg.cholesky, so the pivots do not follow the BLAS thread count as
+    one np.linalg.cholesky of all of kff does. The first pivot at or below
+    1e-12 times the largest diagonal is named; when a block is not positive
+    definite, unpivoted elimination of that block finds it.
     """
-    x = np.array(b, dtype=float)
-    starts = range(0, x.size, _SOLVE_BLOCK)
-    for lo in starts:
-        hi = lo + _SOLVE_BLOCK
-        x[lo:hi] = np.linalg.solve(chol[lo:hi, lo:hi], x[lo:hi] - chol[lo:hi, :lo] @ x[:lo])
-    for lo in reversed(starts):
-        hi = lo + _SOLVE_BLOCK
-        x[lo:hi] = np.linalg.solve(chol[lo:hi, lo:hi].T, x[lo:hi] - chol[hi:, lo:hi].T @ x[hi:])
-    return x
+    threshold = _PIVOT_RTOL * float(np.max(np.diag(kff), initial=0.0))
+    for lo in range(0, kff.shape[0], _PIVOT_BLOCK):
+        hi = lo + _PIVOT_BLOCK
+        kff[lo:, lo:hi] -= kff[lo:, :lo] @ kff[lo:hi, :lo].T
+        try:
+            block = np.linalg.cholesky(kff[lo:hi, lo:hi])
+        except np.linalg.LinAlgError:
+            raise _first_vanishing_pivot(kff[lo:hi, lo:hi], threshold, free[lo:hi], node_ids)
+        pivots = np.diag(block) ** 2
+        vanishing = np.flatnonzero(pivots <= threshold)
+        if vanishing.size:
+            # The first vanishing pivot, as on the failure path: later ones
+            # are round-off of the elimination.
+            first = vanishing[0]
+            node, axis = _dof_name(free[lo + first], node_ids)
+            raise SingularStructureError(node, axis, float(pivots[first]))
+        kff[lo:hi, lo:hi] = block
+        kff[hi:, lo:hi] = np.linalg.solve(block, kff[hi:, lo:hi].T).T
+        kff[lo:hi, hi:] = 0.0
+    return kff
 
 
 def _first_vanishing_pivot(kff: np.ndarray, threshold: float, free, node_ids) -> SingularStructureError:

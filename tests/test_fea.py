@@ -2,6 +2,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -15,12 +16,16 @@ from conftest import (
     two_bar_model,
 )
 
+from harmonode import fea
 from harmonode.fea import (
+    _SOLVE_BLOCK,
     COMPRESSION,
     TENSION,
     SingularStructureError,
+    _block_cholesky,
+    _block_solve,
+    _block_tridiagonal,
     _check_pivots,
-    _cholesky_solve,
     extract_demands,
     model_mass,
     size_members,
@@ -39,6 +44,10 @@ def _grid_truss(keep_supports, grid=7):
 
 def _z_rollers(supports):
     return tuple(Support(s.node, (False, False, True)) for s in supports)
+
+
+def _one_pin(supports):
+    return supports[:1] + _z_rollers(supports[1:])
 
 
 class TestSolve:
@@ -97,8 +106,25 @@ class TestSolve:
             # the first of them is named, whatever the BLAS thread count
             (lambda: _grid_truss(_z_rollers), 83, "x"),
             (lambda: _grid_truss(lambda supports: supports[:2]), 84, "z"),
+            # At 15x15 the band order differs most from the id order; the
+            # name still comes from the original order.
+            (lambda: _grid_truss(_z_rollers, grid=15), 420, "x"),
+            (lambda: _grid_truss(lambda supports: supports[:1], grid=15), 419, "z"),
+            (lambda: _grid_truss(lambda supports: supports[:2], grid=15), 420, "z"),
+            # One pin, z-rollers elsewhere: a single mechanism whose band-order
+            # pivot lies above 1e-12 x the largest diagonal.
+            (lambda: _grid_truss(_one_pin, grid=11), 220, "y"),
         ],
-        ids=["two-bar", "grid-one-support", "grid-z-rollers", "grid-two-supports"],
+        ids=[
+            "two-bar",
+            "grid-one-support",
+            "grid-z-rollers",
+            "grid-two-supports",
+            "grid15-z-rollers",
+            "grid15-one-support",
+            "grid15-two-supports",
+            "grid11-one-pin",
+        ],
     )
     def test_mechanism_names_offending_dof(self, make_model, node, axis):
         with pytest.raises(SingularStructureError) as excinfo:
@@ -115,20 +141,52 @@ class TestSolve:
         assert (excinfo.value.node, excinfo.value.axis) == (10, "y")
 
     def test_mechanism_diagnosis_independent_of_blas_threads(self, tmp_path):
-        path = tmp_path / "z_rollers.json"
-        path.write_text(write_model(_grid_truss(_z_rollers)))
-        named = set()
-        for threads in ("1", "2"):
-            result = subprocess.run(
-                [sys.executable, "-m", "harmonode.cli", "analyze", str(path), "--out", str(tmp_path / threads)],
-                capture_output=True,
-                text=True,
-                env={**os.environ, "OPENBLAS_NUM_THREADS": threads},
-                timeout=120,
-            )
-            assert result.returncode == 1, result.stderr
-            named.add(re.search(r"near node (\d+) direction (\w)", result.stderr).groups())
-        assert named == {("83", "x")}
+        assert _named_under_blas_threads(tmp_path, _grid_truss(_z_rollers)) == {("83", "x")}
+
+    def test_borderline_pivot_named_independent_of_blas_threads(self, tmp_path):
+        # Its pivot at node 419 z sits 3% under the threshold; one dense
+        # factorization of all DOFs named node 420 y under two threads.
+        model = _grid_truss(lambda supports: supports[:1], grid=15)
+        assert _named_under_blas_threads(tmp_path, model) == {("419", "z")}
+
+    def test_equilibrium_residual_names_its_largest_component(self, monkeypatch):
+        # Free DOFs of the two-bar frame: apex x, then apex z. Pushing apex x
+        # leaves a residual at apex x alone (the bars' x-z coupling cancels).
+        free_displacements = fea._free_displacements
+
+        def pushed(*args):
+            u = free_displacements(*args)
+            u[0] += 1e-3
+            return u
+
+        monkeypatch.setattr(fea, "_free_displacements", pushed)
+        with pytest.raises(ArithmeticError, match="equilibrium residual .* largest at node 2 direction x"):
+            solve(two_bar_model())
+
+    def test_renumbering_keeps_forces(self):
+        model = _grid_truss(lambda supports: supports, grid=9)
+        rng = np.random.default_rng(9)
+        shuffled = replace(
+            model,
+            nodes=tuple(model.nodes[i] for i in rng.permutation(len(model.nodes))),
+            elements=tuple(model.elements[i] for i in rng.permutation(len(model.elements))),
+        )
+        base = solve(model).axial_forces
+        forces = solve(shuffled).axial_forces
+        largest = max(abs(f) for f in base.values())
+        assert forces.keys() == base.keys()
+        assert max(abs(forces[eid] - f) for eid, f in base.items()) <= 1e-10 * largest
+
+    def test_study_design_solve_memory(self):
+        # One dense 3603-DOF stiffness matrix alone would take 103.7 MB.
+        model = _grid_truss(lambda supports: supports, grid=25)
+        tracemalloc.start()
+        try:
+            solve(model)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64e6
 
     def test_study_design_equilibrium_residual(self):
         # The 25x25 study design: 3591 free DOFs, one Cholesky factor.
@@ -184,6 +242,24 @@ class TestSolve:
                 assert np.allclose(got, expected, rtol=1e-8, atol=1e-12)
 
 
+def _named_under_blas_threads(tmp_path, model):
+    """The (node, axis) that `harmonode analyze` names under 1 and 2 BLAS threads."""
+    path = tmp_path / "model.json"
+    path.write_text(write_model(model))
+    named = set()
+    for threads in ("1", "2"):
+        result = subprocess.run(
+            [sys.executable, "-m", "harmonode.cli", "analyze", str(path), "--out", str(tmp_path / threads)],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "OPENBLAS_NUM_THREADS": threads},
+            timeout=120,
+        )
+        assert result.returncode == 1, result.stderr
+        named.add(re.search(r"near node (\d+) direction (\w)", result.stderr).groups())
+    return named
+
+
 def _rotate_model(model: TrussModel, rotation: np.ndarray) -> TrussModel:
     from dataclasses import replace
 
@@ -198,17 +274,38 @@ def _rotate_model(model: TrussModel, rotation: np.ndarray) -> TrussModel:
     return TrussModel(nodes, model.elements, supports, loads, model.name, model.enclosure_area)
 
 
-class TestCholeskySolve:
+class TestBandFactor:
+    @pytest.mark.parametrize(
+        "half_bandwidth", [_SOLVE_BLOCK // 2, _SOLVE_BLOCK, 2 * _SOLVE_BLOCK], ids=["below", "at", "above"]
+    )
     @pytest.mark.parametrize("n", [1, 63, 64, 65, 200])
-    def test_matches_dense_solve_across_block_edges(self, n):
-        rng = np.random.default_rng(n)
-        m = rng.normal(size=(n, n))
-        a = m @ m.T + n * np.eye(n)
+    def test_matches_dense_solve_across_block_edges(self, n, half_bandwidth):
+        rng = np.random.default_rng(n + half_bandwidth)
+        w = min(half_bandwidth, n - 1)
+        rows = np.arange(n)
+        # L L^T with L lower triangular of bandwidth w: SPD, half-bandwidth w.
+        lower = np.tril(rng.normal(size=(n, n))) * (rows[:, None] - rows[None, :] <= w)
+        a = lower @ lower.T + (w + 1) * np.eye(n)
         b = rng.normal(size=n)
-        x = _cholesky_solve(np.linalg.cholesky(a), b)
-        assert np.linalg.norm(a @ x - b) <= 1e-12 * np.linalg.norm(b)
+        diag, sub = _block_tridiagonal(a[None], rows[None], n, min(n, max(w, _SOLVE_BLOCK)))
+        pivots = _block_cholesky(diag, sub)[:n]
+        assert np.allclose(pivots, np.diag(np.linalg.cholesky(a)) ** 2, rtol=1e-12, atol=0.0)
+        x = _block_solve(diag, sub, b)
         expected = np.linalg.solve(a, b)
         assert np.linalg.norm(x - expected) <= 1e-12 * np.linalg.norm(expected)
+
+    def test_single_block_is_the_dense_assembly(self):
+        # b = n keeps np.add.at's summation order: the dense matrix to the bit.
+        rng = np.random.default_rng(3)
+        values = rng.normal(size=(40, 6, 6))
+        rows = rng.integers(-1, 30, size=(40, 6))
+        dense = np.zeros((30, 30))
+        keep = (rows[:, :, None] >= 0) & (rows[:, None, :] >= 0)
+        r, c = np.broadcast_arrays(rows[:, :, None], rows[:, None, :])
+        np.add.at(dense, (r[keep], c[keep]), values[keep])
+        diag, sub = _block_tridiagonal(values, rows, 30, 30)
+        assert sub.shape == (0, 30, 30)
+        assert np.array_equal(diag[0], dense)
 
 
 class TestExtractDemands:
