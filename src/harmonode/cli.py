@@ -358,6 +358,9 @@ def _read_sweep_params(path: Path) -> tuple[GridTrussParams, tuple]:
         raise ModelFormatError(
             f"{path}: bounds: expected {free} pairs for the symmetric control grid, got {len(pairs)}"
         )
+    for d, (lo, hi) in enumerate(pairs):
+        if not lo < hi:
+            raise ModelFormatError(f"{path}: bounds: pair {d} must satisfy lo < hi, got [{lo}, {hi}]")
     return params, tuple((float(lo), float(hi)) for lo, hi in pairs)
 
 

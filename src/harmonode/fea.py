@@ -9,12 +9,11 @@ free-DOF stiffness block tridiagonal for blocks of b = max(half-bandwidth,
 _SOLVE_BLOCK) rows; it stores only the diagonal and sub-diagonal blocks,
 about 2 * n_free * b doubles (8.4 MB for the 25x25 study design), and
 factors them by a block Cholesky. Equilibrium residual and reactions are
-summed member by member, so no dense stiffness matrix is formed. One is
-built, in the original DOF order, only when a band pivot falls to 1e-8
-times the largest stiffness diagonal or the band factor fails. Its pivot
-check (threshold 1e-12 times that diagonal) then decides whether the model
-is singular and names the first vanishing pivot's node and direction,
-whatever the band order.
+summed member by member, so no dense stiffness matrix is formed on any
+path. The band factor's own pivots are the singularity test: the first
+pivot at or below _PIVOT_RTOL (1e-8) times the largest stiffness diagonal
+marks a mechanism, and its DOF, which moves in that mechanism mode, is
+named.
 """
 
 from __future__ import annotations
@@ -39,32 +38,27 @@ MIN_AREA = 400e-6
 _SIZING_RTOL = 1e-3
 
 _AXES = ("x", "y", "z")
-_PIVOT_RTOL = 1e-12
-# A band pivot at or below this share of the largest diagonal sends the model
-# to the original-order check. Band order spreads a mechanism's round-off
-# differently: on a 25x25 design with one pinned support and z-rollers its
-# smallest pivot was 1.7e-11 of the largest diagonal, above _PIVOT_RTOL,
-# while sound designs measured 1.6e-3 or more.
-_BAND_PIVOT_RTOL = 1e-8
+# A band pivot at or below this share of the largest stiffness diagonal marks
+# a mechanism. Sound grid designs measured 1.7e-3 or more, singular ones
+# 1.5e-11 or less in magnitude (or a failed block factor).
+_PIVOT_RTOL = 1e-8
 _EQUILIBRIUM_RTOL = 1e-8
 # The fewest rows per block of the band factor and its substitutions.
 _SOLVE_BLOCK = 64
-# Rows per block of the original-order pivot check. With 32 its pivots, and
-# the DOF it names, were the same under 1 and 2 BLAS threads on every
-# singular grid design tried (with 48 they were not).
-_PIVOT_BLOCK = 32
 
 
 class SingularStructureError(Exception):
     """The stiffness matrix is singular: a mechanism or missing restraint."""
 
-    def __init__(self, node: int, axis: str, pivot: float):
+    def __init__(self, node: int, axis: str, pivot: float, share: float):
         self.node = node
         self.axis = axis
         self.pivot = pivot
+        self.share = share
         super().__init__(
-            f"stiffness matrix is singular near node {node} direction {axis} "
-            f"(pivot {pivot:.3e}); the model is under-restrained or contains a mechanism"
+            f"stiffness matrix is singular near node {node} direction {axis}: pivot {pivot:.2e}, "
+            f"{share:.1e} of the largest diagonal (rule: at or below {_PIVOT_RTOL:.0e}); "
+            "the model is under-restrained or contains a mechanism"
         )
 
 
@@ -138,14 +132,14 @@ def solve(model: TrussModel, load_case: str | None = None) -> AnalysisResult:
     sub-diagonal blocks of b = max(half-bandwidth, _SOLVE_BLOCK) rows, about
     2 * n_free * b doubles), then factored block by block. The equilibrium
     residual and the reactions are B^T (k * B u) - f, summed member by
-    member. A dense free-DOF K, in the original DOF order, is built only when
-    the band factor meets a near-vanishing pivot, to name it.
+    member. No dense K is formed.
 
     Axial force per element is (EA/L) * (u_end - u_start) . unit(start->end),
-    positive in tension. Raises SingularStructureError for mechanisms,
-    ArithmeticError naming the node and direction of the largest residual
-    when equilibrium fails its 1e-8 gate, and ValueError when the case has no
-    loads.
+    positive in tension. Raises SingularStructureError for a mechanism,
+    naming the DOF of the first band pivot at or below 1e-8 times the largest
+    stiffness diagonal (a DOF that moves in a mechanism mode); ArithmeticError
+    naming the node and direction of the largest residual when equilibrium
+    fails its 1e-8 gate; and ValueError when the case has no loads.
     """
     case = resolve_load_case(model, load_case)
     loads = [l for l in model.loads if l.load_case == case]
@@ -205,14 +199,8 @@ def solve(model: TrussModel, load_case: str | None = None) -> AnalysisResult:
 
 
 def _free_displacements(blocks, dofs, ends, fixed, f, node_ids) -> np.ndarray:
-    """u at the free DOFs, in DOF order, from the band factor in RCM order.
-
-    When a band pivot is at or below _BAND_PIVOT_RTOL of the largest diagonal
-    or a block factor fails, the free-DOF K is built densely in the original
-    order and _check_pivots names its first vanishing pivot, as the pivots of
-    the band order belong to other DOFs. If it finds none, u comes from its
-    dense factor.
-    """
+    """u at the free DOFs, in DOF order, from the band factor in RCM order;
+    SingularStructureError names the DOF of a vanishing band pivot."""
     order = _rcm_free_dofs(ends, fixed)
     n = order.size
     rank = np.full(fixed.size, -1)
@@ -221,20 +209,14 @@ def _free_displacements(blocks, dofs, ends, fixed, f, node_ids) -> np.ndarray:
     half_bandwidth = int((rows.max(axis=1) - np.where(rows >= 0, rows, n).min(axis=1)).max(initial=0))
     diag, sub = _block_tridiagonal(blocks, rows, n, min(n, max(half_bandwidth, _SOLVE_BLOCK)))
     largest = float(np.diagonal(diag, axis1=1, axis2=2).ravel()[:n].max(initial=0.0))
-    try:
-        factored = bool(np.all(_block_cholesky(diag, sub)[:n] > _BAND_PIVOT_RTOL * largest))
-    except np.linalg.LinAlgError:
-        factored = False
-    if factored:
-        u = np.empty(fixed.size)
-        u[order] = _block_solve(diag, sub, f[order])
-        return u[~fixed]
-
-    free = np.flatnonzero(~fixed)
-    rank[free] = np.arange(n)
-    diag, sub = _block_tridiagonal(blocks, rank[dofs], n, n)
-    chol = _check_pivots(diag[0], free, node_ids)
-    return _block_solve(chol[None], sub, f[free])
+    vanishing = _block_cholesky(diag, sub, n, _PIVOT_RTOL * largest)
+    if vanishing is not None:
+        row, pivot = vanishing
+        node, axis = _dof_name(order[row], node_ids)
+        raise SingularStructureError(node, axis, pivot, pivot / largest if largest else float("nan"))
+    u = np.empty(fixed.size)
+    u[order] = _block_solve(diag, sub, f[order])
+    return u[~fixed]
 
 
 def _rcm_free_dofs(ends: np.ndarray, fixed: np.ndarray) -> np.ndarray:
@@ -295,26 +277,38 @@ def _block_tridiagonal(values: np.ndarray, rows: np.ndarray, n: int, b: int):
     return storage[:nb], storage[nb:]
 
 
-def _block_cholesky(diag: np.ndarray, sub: np.ndarray) -> np.ndarray:
-    """Factor block-tridiagonal storage in place into L L^T; return the pivots.
+def _block_cholesky(diag: np.ndarray, sub: np.ndarray, n: int, threshold: float):
+    """Factor block-tridiagonal storage in place into L L^T, checking pivots.
 
     Each step is one block Cholesky, one block solve for the next
     sub-diagonal block and one block product for the next diagonal block.
-    The pivots, squared diagonals of L, come in storage order. Raises
-    np.linalg.LinAlgError when a diagonal block is not positive definite.
+    Returns None when every pivot (squared diagonal of L) of the first n
+    rows exceeds threshold, else (row, pivot) of the first that does not,
+    row in storage order; the padding rows past n are never named. When
+    np.linalg.cholesky refuses a block, unpivoted elimination finds the row.
     """
+    size = diag.shape[1]
     for k in range(len(diag)):
         if k:
             diag[k] -= sub[k - 1] @ sub[k - 1].T
-        diag[k] = np.linalg.cholesky(diag[k])
+        real = min(size, n - k * size)
+        try:
+            diag[k] = np.linalg.cholesky(diag[k])
+        except np.linalg.LinAlgError:
+            row, pivot = _first_vanishing_pivot(diag[k, :real, :real], threshold)
+            return k * size + row, pivot
+        pivots = np.diagonal(diag[k])[:real] ** 2
+        vanishing = np.flatnonzero(pivots <= threshold)
+        if vanishing.size:  # later ones are round-off of the elimination
+            return k * size + int(vanishing[0]), float(pivots[vanishing[0]])
         if k < len(sub):
             sub[k] = np.linalg.solve(diag[k], sub[k].T).T
-    return np.diagonal(diag, axis1=1, axis2=2).ravel() ** 2
+    return None
 
 
 def _block_solve(diag: np.ndarray, sub: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve L L^T x = rhs by forward, then back substitution over the blocks
-    of a factor from _block_cholesky (or a dense factor as one block)."""
+    of a factor from _block_cholesky."""
     nb, size = diag.shape[:2]
     x = np.zeros((nb, size))
     x.reshape(-1)[: rhs.size] = rhs
@@ -344,53 +338,18 @@ def _members(model: TrussModel):
     return index, ends, length, span / length[:, None]
 
 
-def _check_pivots(kff: np.ndarray, free: np.ndarray, node_ids: list[int]) -> np.ndarray:
-    """The lower Cholesky factor of kff, computed in place, once no pivot vanishes.
-
-    Left-looking over _PIVOT_BLOCK-row block columns: each takes its update
-    from the factored columns as one matrix product, then one small
-    np.linalg.cholesky, so the pivots do not follow the BLAS thread count as
-    one np.linalg.cholesky of all of kff does. The first pivot at or below
-    1e-12 times the largest diagonal is named; when a block is not positive
-    definite, unpivoted elimination of that block finds it.
-    """
-    threshold = _PIVOT_RTOL * float(np.max(np.diag(kff), initial=0.0))
-    for lo in range(0, kff.shape[0], _PIVOT_BLOCK):
-        hi = lo + _PIVOT_BLOCK
-        kff[lo:, lo:hi] -= kff[lo:, :lo] @ kff[lo:hi, :lo].T
-        try:
-            block = np.linalg.cholesky(kff[lo:hi, lo:hi])
-        except np.linalg.LinAlgError:
-            raise _first_vanishing_pivot(kff[lo:hi, lo:hi], threshold, free[lo:hi], node_ids)
-        pivots = np.diag(block) ** 2
-        vanishing = np.flatnonzero(pivots <= threshold)
-        if vanishing.size:
-            # The first vanishing pivot, as on the failure path: later ones
-            # are round-off of the elimination.
-            first = vanishing[0]
-            node, axis = _dof_name(free[lo + first], node_ids)
-            raise SingularStructureError(node, axis, float(pivots[first]))
-        kff[lo:hi, lo:hi] = block
-        kff[hi:, lo:hi] = np.linalg.solve(block, kff[hi:, lo:hi].T).T
-        kff[lo:hi, hi:] = 0.0
-    return kff
-
-
-def _first_vanishing_pivot(kff: np.ndarray, threshold: float, free, node_ids) -> SingularStructureError:
-    # Unpivoted symmetric elimination locates the first vanishing pivot.
-    a = kff.copy()
+def _first_vanishing_pivot(a: np.ndarray, threshold: float) -> tuple[int, float]:
+    """The first (row, pivot) of unpivoted symmetric elimination of a that is
+    at or below threshold; the last row when none is."""
+    a = a.copy()
     n = a.shape[0]
-    bad = n - 1
-    pivot = a[bad, bad] if n else 0.0
     for j in range(n):
         d = a[j, j]
         if not d > threshold:
-            bad, pivot = j, d
-            break
+            return j, float(d)
         col = a[j + 1 :, j].copy()
         a[j + 1 :, j + 1 :] -= np.outer(col, col) / d
-    node, axis = _dof_name(free[bad], node_ids)
-    return SingularStructureError(node, axis, float(pivot))
+    return n - 1, float(a[n - 1, n - 1])
 
 
 def _dof_name(global_dof: int, node_ids: list[int]) -> tuple[int, str]:

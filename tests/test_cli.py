@@ -393,8 +393,9 @@ class TestSweepCommand:
     @pytest.mark.parametrize(
         "bounds",
         [5, [[0.0, 1.0], None], [[0, 1, 2], [0, 1], [0, 1], [0, 1]], "x",
-         [False, True], [0.0, float("inf")], [float("nan"), 1.0], [0, 10**400]],
-        ids=["number", "null-pair", "triple", "string", "booleans", "infinite", "nan", "beyond-float"],
+         [False, True], [0.0, float("inf")], [float("nan"), 1.0], [0, 10**400], [2.0, 0.0], [1.0, 1.0]],
+        ids=["number", "null-pair", "triple", "string", "booleans", "infinite", "nan", "beyond-float",
+             "reversed", "empty"],
     )
     def test_malformed_bounds_named_in_error(self, tmp_path, capsys, bounds):
         path = tmp_path / "family.json"

@@ -25,14 +25,13 @@ from harmonode.fea import (
     _block_cholesky,
     _block_solve,
     _block_tridiagonal,
-    _check_pivots,
     extract_demands,
     model_mass,
     size_members,
     solve,
 )
 from harmonode.generator import GridTrussParams, apply_control_sample, generate_grid_truss
-from harmonode.model import Point3, PointLoad, Support, TrussModel, write_model
+from harmonode.model import Point3, PointLoad, Support, TrussModel, TrussNode, write_model
 
 
 def _grid_truss(keep_supports, grid=7):
@@ -48,6 +47,39 @@ def _z_rollers(supports):
 
 def _one_pin(supports):
     return supports[:1] + _z_rollers(supports[1:])
+
+
+def _pin_at_support_3(supports):
+    # One rotation about the pin stays free: a single mechanism mode.
+    return _z_rollers(supports[:3]) + supports[3:4] + _z_rollers(supports[4:])
+
+
+# Singular models and the DOF the band factor names: that of the first band
+# pivot at or below 1e-8 x the largest diagonal, in reverse Cuthill-McKee order.
+_SINGULAR = [
+    pytest.param(lambda: two_bar_model(restrain_apex_y=False), 2, "y", id="two-bar"),
+    # No member reaches the free DOF: every diagonal, the largest too, is zero.
+    pytest.param(
+        lambda: TrussModel(
+            nodes=(TrussNode(0, Point3(0.0, 0.0, 0.0)),),
+            elements=(),
+            supports=(Support(0, (True, True, False)),),
+            loads=(PointLoad(0, Point3(0.0, 0.0, 1.0), "default"),),
+        ),
+        0,
+        "z",
+        id="memberless-node",
+    ),
+    pytest.param(lambda: _grid_truss(lambda supports: supports[:1]), 1, "z", id="grid-one-support"),
+    pytest.param(lambda: _grid_truss(_z_rollers), 1, "x", id="grid-z-rollers"),
+    pytest.param(lambda: _grid_truss(lambda supports: supports[:2]), 0, "z", id="grid-two-supports"),
+    pytest.param(lambda: _grid_truss(_z_rollers, grid=15), 1, "x", id="grid15-z-rollers"),
+    pytest.param(lambda: _grid_truss(lambda supports: supports[:1], grid=15), 1, "z", id="grid15-one-support"),
+    pytest.param(lambda: _grid_truss(lambda supports: supports[:2], grid=15), 0, "z", id="grid15-two-supports"),
+    pytest.param(lambda: _grid_truss(_one_pin, grid=11), 0, "y", id="grid11-one-pin"),
+    pytest.param(lambda: _grid_truss(_pin_at_support_3, grid=15), 0, "y", id="grid15-pin3"),
+    pytest.param(lambda: _grid_truss(_pin_at_support_3, grid=25), 0, "y", id="grid25-pin3"),
+]
 
 
 class TestSolve:
@@ -96,36 +128,7 @@ class TestSolve:
             solve(multi)
         assert solve(multi, "wind").load_case == "wind"
 
-    @pytest.mark.parametrize(
-        "make_model, node, axis",
-        [
-            (lambda: two_bar_model(restrain_apex_y=False), 2, "y"),
-            # Cholesky fails; unpivoted elimination finds the first vanishing pivot
-            (lambda: _grid_truss(lambda supports: supports[:1]), 83, "z"),
-            # Cholesky succeeds, but pivots fall below 1e-12 x the largest diagonal;
-            # the first of them is named, whatever the BLAS thread count
-            (lambda: _grid_truss(_z_rollers), 83, "x"),
-            (lambda: _grid_truss(lambda supports: supports[:2]), 84, "z"),
-            # At 15x15 the band order differs most from the id order; the
-            # name still comes from the original order.
-            (lambda: _grid_truss(_z_rollers, grid=15), 420, "x"),
-            (lambda: _grid_truss(lambda supports: supports[:1], grid=15), 419, "z"),
-            (lambda: _grid_truss(lambda supports: supports[:2], grid=15), 420, "z"),
-            # One pin, z-rollers elsewhere: a single mechanism whose band-order
-            # pivot lies above 1e-12 x the largest diagonal.
-            (lambda: _grid_truss(_one_pin, grid=11), 220, "y"),
-        ],
-        ids=[
-            "two-bar",
-            "grid-one-support",
-            "grid-z-rollers",
-            "grid-two-supports",
-            "grid15-z-rollers",
-            "grid15-one-support",
-            "grid15-two-supports",
-            "grid11-one-pin",
-        ],
-    )
+    @pytest.mark.parametrize("make_model, node, axis", _SINGULAR)
     def test_mechanism_names_offending_dof(self, make_model, node, axis):
         with pytest.raises(SingularStructureError) as excinfo:
             solve(make_model())
@@ -133,21 +136,30 @@ class TestSolve:
         assert excinfo.value.axis == axis
         assert f"node {node}" in str(excinfo.value)
 
-    def test_first_vanishing_pivot_named_when_cholesky_succeeds(self):
-        # argmin of the pivots is index 3; the first vanishing pivot is index 1
-        kff = np.diag([1.0, 1e-20, 1.0, 1e-30, 1.0])
+    @pytest.mark.parametrize("make_model, node, axis", [c for c in _SINGULAR if c.id != "grid25-pin3"])
+    def test_named_dof_moves_in_a_mechanism_mode(self, make_model, node, axis):
+        # If band pivot k vanishes, the leading k x k block has a null vector
+        # with a nonzero k-th entry; padded with zeros it is a null vector of K.
+        assert _null_space_weight(make_model(), node, axis) > 1e-6
+
+    def test_message_reports_pivot_share_and_rule(self):
         with pytest.raises(SingularStructureError) as excinfo:
-            _check_pivots(kff, np.arange(5), [10, 11])
-        assert (excinfo.value.node, excinfo.value.axis) == (10, "y")
+            solve(_grid_truss(_z_rollers))
+        error = excinfo.value
+        assert 0.0 < abs(error.share) <= fea._PIVOT_RTOL
+        assert f"pivot {error.pivot:.2e}, {error.share:.1e} of the largest diagonal" in str(error)
+        assert "(rule: at or below 1e-08)" in str(error)
+        assert re.search(r"near node (\d+) direction (\w)", str(error)).groups() == ("1", "x")
 
     def test_mechanism_diagnosis_independent_of_blas_threads(self, tmp_path):
-        assert _named_under_blas_threads(tmp_path, _grid_truss(_z_rollers)) == {("83", "x")}
+        assert _named_under_blas_threads(tmp_path, _grid_truss(_z_rollers)) == {("1", "x")}
 
-    def test_borderline_pivot_named_independent_of_blas_threads(self, tmp_path):
-        # Its pivot at node 419 z sits 3% under the threshold; one dense
-        # factorization of all DOFs named node 420 y under two threads.
+    def test_grid15_one_support_named_independent_of_blas_threads(self, tmp_path):
+        # Its band pivot at node 1 z is about 3e-13 of the largest diagonal in
+        # magnitude, over four decades under the 1e-8 rule, so round-off that
+        # differs with the BLAS thread count cannot move the name.
         model = _grid_truss(lambda supports: supports[:1], grid=15)
-        assert _named_under_blas_threads(tmp_path, model) == {("419", "z")}
+        assert _named_under_blas_threads(tmp_path, model) == {("1", "z")}
 
     def test_equilibrium_residual_names_its_largest_component(self, monkeypatch):
         # Free DOFs of the two-bar frame: apex x, then apex z. Pushing apex x
@@ -183,6 +195,18 @@ class TestSolve:
         tracemalloc.start()
         try:
             solve(model)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64e6
+
+    def test_singular_study_design_memory(self):
+        # The mechanism is named from the band factor; no dense K is built.
+        model = _grid_truss(_pin_at_support_3, grid=25)
+        tracemalloc.start()
+        try:
+            with pytest.raises(SingularStructureError):
+                solve(model)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -260,6 +284,29 @@ def _named_under_blas_threads(tmp_path, model):
     return named
 
 
+def _null_space_weight(model, node, axis):
+    """Length of the named DOF's unit vector projected onto the null space of
+    the dense free-DOF stiffness (eigenvalues at or below 1e-9 x the
+    largest), assembled here member by member."""
+    index = {n.id: i for i, n in enumerate(model.nodes)}
+    pos = np.array([n.position.as_tuple() for n in model.nodes])
+    stiffness = np.zeros((pos.size, pos.size))
+    for el in model.elements:
+        a, b = index[el.start], index[el.end]
+        length = np.linalg.norm(pos[b] - pos[a])
+        grad = np.concatenate([pos[a] - pos[b], pos[b] - pos[a]]) / length
+        dofs = np.r_[3 * a : 3 * a + 3, 3 * b : 3 * b + 3]
+        stiffness[np.ix_(dofs, dofs)] += el.youngs_modulus * el.area / length * np.outer(grad, grad)
+    fixed = np.zeros(pos.size, dtype=bool)
+    for sup in model.supports:
+        fixed[3 * index[sup.node] : 3 * index[sup.node] + 3] |= sup.fixed
+    free = np.flatnonzero(~fixed)
+    values, vectors = np.linalg.eigh(stiffness[np.ix_(free, free)])
+    null = vectors[:, values <= 1e-9 * values.max()]
+    row = int(np.flatnonzero(free == 3 * index[node] + "xyz".index(axis))[0])
+    return float(np.linalg.norm(null[row]))
+
+
 def _rotate_model(model: TrussModel, rotation: np.ndarray) -> TrussModel:
     from dataclasses import replace
 
@@ -288,7 +335,8 @@ class TestBandFactor:
         a = lower @ lower.T + (w + 1) * np.eye(n)
         b = rng.normal(size=n)
         diag, sub = _block_tridiagonal(a[None], rows[None], n, min(n, max(w, _SOLVE_BLOCK)))
-        pivots = _block_cholesky(diag, sub)[:n]
+        assert _block_cholesky(diag, sub, n, 0.0) is None
+        pivots = np.diagonal(diag, axis1=1, axis2=2).ravel()[:n] ** 2
         assert np.allclose(pivots, np.diag(np.linalg.cholesky(a)) ** 2, rtol=1e-12, atol=0.0)
         x = _block_solve(diag, sub, b)
         expected = np.linalg.solve(a, b)
@@ -306,6 +354,56 @@ class TestBandFactor:
         diag, sub = _block_tridiagonal(values, rows, 30, 30)
         assert sub.shape == (0, 30, 30)
         assert np.array_equal(diag[0], dense)
+
+    def test_first_vanishing_pivot_named_not_the_smallest(self):
+        # The smallest pivot is row 3; the first at or below the rule is row 1.
+        values = np.diag([1.0, 1e-20, 1.0, 1e-30, 1.0])
+        diag, sub = _block_tridiagonal(values[None], np.arange(5)[None], 5, 5)
+        row, pivot = _block_cholesky(diag, sub, 5, 1e-8)
+        assert row == 1
+        assert pivot == pytest.approx(1e-20, rel=1e-12)
+
+    def test_failed_block_names_its_row(self, monkeypatch):
+        # SPD with half-bandwidth 20, then row 128, the first row of block 2
+        # (blocks of 64 rows), is given pivot -1: np.linalg.cholesky refuses
+        # that block and unpivoted elimination finds the row.
+        n, w = 130, 20
+        rng = np.random.default_rng(130)
+        rows = np.arange(n)
+        lower = np.tril(rng.normal(size=(n, n))) * (rows[:, None] - rows[None, :] <= w)
+        a = lower @ lower.T + (w + 1) * np.eye(n)
+        a[128, 128] -= np.linalg.cholesky(a)[128, 128] ** 2 + 1.0
+        eliminated = []
+        first_vanishing_pivot = fea._first_vanishing_pivot
+
+        def spy(a, threshold):
+            eliminated.append(first_vanishing_pivot(a, threshold))
+            return eliminated[-1]
+
+        monkeypatch.setattr(fea, "_first_vanishing_pivot", spy)
+        diag, sub = _block_tridiagonal(a[None], rows[None], n, _SOLVE_BLOCK)
+        row, pivot = _block_cholesky(diag, sub, n, 1e-8 * a.diagonal().max())
+        assert (row, len(eliminated)) == (128, 1)
+        assert pivot == pytest.approx(-1.0, rel=1e-8)
+
+    def test_padding_rows_never_named(self, monkeypatch):
+        # On the 25x25 study design the rule's threshold (1e-8 x the largest
+        # diagonal) exceeds the padding's identity pivots of 1.0, so a check
+        # over every stored row would call this sound model singular.
+        factored = []
+        block_cholesky = fea._block_cholesky
+
+        def spy(diag, sub, n, threshold):
+            vanishing = block_cholesky(diag, sub, n, threshold)
+            factored.append((diag.shape[0] * diag.shape[1] - n, threshold, vanishing))
+            return vanishing
+
+        monkeypatch.setattr(fea, "_block_cholesky", spy)
+        solve(_grid_truss(lambda supports: supports, grid=25))
+        [(padding, threshold, vanishing)] = factored
+        assert padding == 59
+        assert threshold > 1.0
+        assert vanishing is None
 
 
 class TestExtractDemands:
