@@ -298,30 +298,26 @@ def kmeans(vectors, k: int = DEFAULT_K, seed: int = 0) -> ClusterAssignment:
 
     Each of _KMEANS_RESTARTS restarts draws k-means++ centers from its own
     deterministic stream, then runs Lloyd iterations to an assignment
-    fixpoint (or _KMEANS_MAX_ITER of them). The run with the smallest
-    within-cluster sum of squares wins; ties keep the earliest run. Clusters are finally relabelled in order of increasing
-    bounding-sphere radius (ties by smallest member node id), so label 0 is
-    always the most uniform group.
+    fixpoint (or _KMEANS_MAX_ITER of them). The restarts run together as one
+    batch of array operations, with the same draws and the same arithmetic
+    as one restart at a time. The run with the smallest within-cluster sum
+    of squares wins; ties keep the earliest run. Clusters are finally
+    relabelled in order of increasing bounding-sphere radius (ties by
+    smallest member node id), so label 0 is always the most uniform group.
     """
     points, node_ids = _as_points(vectors)
-    n = points.shape[0]
     n_distinct = np.unique(points, axis=0).shape[0]
     if not 1 <= k <= n_distinct:
         raise ValueError(f"k must satisfy 1 <= k <= {n_distinct} distinct vectors, got {k}")
 
+    rngs = [np.random.default_rng((seed, run)) for run in range(_KMEANS_RESTARTS)]
     best: tuple[float, np.ndarray, tuple[float, ...]] | None = None
-    for run in range(_KMEANS_RESTARTS):
-        rng = np.random.default_rng((seed, run))
-        labels, history = _lloyd(points, k, rng)
-        inertia = history[-1]
-        if best is None or inertia < best[0] - 1e-12:
-            best = (inertia, labels, history)
+    for labels, history in _lloyd(points, k, _kmeans_plus_plus(points, k, rngs)):
+        if best is None or history[-1] < best[0] - 1e-12:
+            best = (history[-1], labels, history)
     inertia, labels, history = best
 
-    spheres = []
-    for label in range(k):
-        members = points[labels == label]
-        spheres.append(min_enclosing_ball(members))
+    spheres = [min_enclosing_ball(points[labels == label]) for label in range(k)]
 
     order = sorted(
         range(k),
@@ -331,8 +327,7 @@ def kmeans(vectors, k: int = DEFAULT_K, seed: int = 0) -> ClusterAssignment:
         ),
     )
     remap = np.empty(k, dtype=int)
-    for new_label, old_label in enumerate(order):
-        remap[old_label] = new_label
+    remap[order] = np.arange(k)
     return ClusterAssignment(
         k=k,
         labels=remap[labels],
@@ -343,42 +338,75 @@ def kmeans(vectors, k: int = DEFAULT_K, seed: int = 0) -> ClusterAssignment:
     )
 
 
-def _lloyd(points: np.ndarray, k: int, rng):
-    centroids = _kmeans_plus_plus(points, k, rng)
-    labels = np.full(points.shape[0], -1)
-    history: list[float] = []
+def _lloyd(points: np.ndarray, k: int, centroids: np.ndarray) -> list[tuple[np.ndarray, tuple[float, ...]]]:
+    """Lloyd iterations of every restart from its start in centroids, (runs, k, d).
+
+    Returns each run's labels and objective history. A run leaves the batch
+    once its labels stop changing. Distances are direct differences and
+    centroids are sums in point order over counts, so every run gets the
+    bits it would get alone.
+    """
+    n, dim = points.shape
+    runs = centroids.shape[0]
+    centroids = centroids.copy()
+    labels = np.full((runs, n), -1)
+    histories: list[list[float]] = [[] for _ in range(runs)]
+    active = np.arange(runs)
     for _ in range(_KMEANS_MAX_ITER):
-        dist2 = ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=-1)
-        new_labels = np.argmin(dist2, axis=1)
-        history.append(float(dist2[np.arange(points.shape[0]), new_labels].sum()))
-        if np.array_equal(new_labels, labels):
-            break
-        labels = new_labels
+        dist2 = np.empty((active.size, n, k))
         for label in range(k):
-            members = points[labels == label]
-            if len(members):
-                centroids[label] = members.mean(axis=0)
-            else:
-                # repopulate an emptied cluster with the worst-fit point
-                residual = ((points - centroids[labels]) ** 2).sum(axis=1)
-                stray = int(np.argmax(residual))
-                centroids[label] = points[stray]
-                labels[stray] = label
-    return labels, tuple(history)
+            dist2[:, :, label] = ((points - centroids[active, label, None, :]) ** 2).sum(axis=-1)
+        new_labels = np.argmin(dist2, axis=2)
+        inertia = np.take_along_axis(dist2, new_labels[:, :, None], axis=2)[:, :, 0].sum(axis=1)
+        for run, value in zip(active, inertia.tolist()):
+            histories[run].append(value)
+        moved = (new_labels != labels[active]).any(axis=1)
+        active, new_labels = active[moved], new_labels[moved]
+        if not active.size:
+            break
+        labels[active] = new_labels
+        # Cluster sums accumulate in point order, as members.mean(axis=0) sums them.
+        cluster = (np.arange(active.size)[:, None] * k + new_labels).ravel()
+        counts = np.bincount(cluster, minlength=active.size * k).reshape(active.size, k)
+        cells = (cluster[:, None] * dim + np.arange(dim)).ravel()
+        sums = np.bincount(cells, np.tile(points, (active.size, 1)).ravel(), counts.size * dim)
+        sums = sums.reshape(active.size, k, dim)
+        # A run that empties a cluster is refilled on its own; so is every run
+        # of one-column points, whose mean numpy sums pairwise, not in order.
+        refill = (counts == 0).any(axis=1) | (dim == 1)
+        centroids[active[~refill]] = (sums / np.maximum(counts, 1)[:, :, None])[~refill]
+        for run in active[refill]:
+            _refill(points, labels[run], centroids[run])
+    return [(labels[run], tuple(histories[run])) for run in range(runs)]
 
 
-def _kmeans_plus_plus(points: np.ndarray, k: int, rng) -> np.ndarray:
+def _refill(points: np.ndarray, labels: np.ndarray, centroids: np.ndarray) -> None:
+    """One run's centroids in place, label by label; an emptied cluster takes the worst-fit point."""
+    for label in range(centroids.shape[0]):
+        members = points[labels == label]
+        if len(members):
+            centroids[label] = members.mean(axis=0)
+        else:
+            residual = ((points - centroids[labels]) ** 2).sum(axis=1)
+            stray = int(np.argmax(residual))
+            centroids[label] = points[stray]
+            labels[stray] = label
+
+
+def _kmeans_plus_plus(points: np.ndarray, k: int, rngs) -> np.ndarray:
+    """k-means++ starts, (len(rngs), k, d): one run per stream, each next center picked for all at once."""
     n = points.shape[0]
-    first = int(rng.integers(n))
-    centroids = [points[first]]
-    dist2 = ((points - centroids[0]) ** 2).sum(axis=1)
-    for _ in range(1, k):
-        total = float(dist2.sum())
-        if total <= 0:
+    chosen = np.empty((len(rngs), k), dtype=int)
+    chosen[:, 0] = [rng.integers(n) for rng in rngs]
+    # random(k - 1) is the same stream as k - 1 calls of random().
+    targets = np.array([rng.random(k - 1) for rng in rngs])
+    dist2 = ((points - points[chosen[:, :1]]) ** 2).sum(axis=-1)
+    for step in range(1, k):
+        total = dist2.sum(axis=1)
+        if (total <= 0).any():
             raise ValueError("fewer distinct vectors than requested clusters")
-        target = rng.random() * total
-        chosen = int(np.searchsorted(np.cumsum(dist2), target))
-        chosen = min(chosen, n - 1)
-        centroids.append(points[chosen])
-        dist2 = np.minimum(dist2, ((points - points[chosen]) ** 2).sum(axis=1))
-    return np.array(centroids)
+        # The first index whose cumulative sum reaches the target, as searchsorted finds it.
+        reached = np.cumsum(dist2, axis=1) < (targets[:, step - 1] * total)[:, None]
+        chosen[:, step] = np.minimum(reached.sum(axis=1), n - 1)
+        dist2 = np.minimum(dist2, ((points - points[chosen[:, step : step + 1]]) ** 2).sum(axis=-1))
+    return points[chosen]

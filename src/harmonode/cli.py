@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 import warnings
@@ -40,11 +41,11 @@ from .model import ModelFormatError, TrussModel, UnknownFieldWarning, is_finite_
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        return args.handler(args)
-    except (FileNotFoundError, IsADirectoryError, PermissionError) as exc:
+        # By name, so a rebinding of cmd_* (a tracer, a monkeypatch) is the one that runs.
+        return globals()[args.handler](args)
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ModelFormatError, SingularStructureError, ValueError, ArithmeticError) as exc:
@@ -52,7 +53,9 @@ def main(argv=None) -> int:
         return 1
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process; subcommands name their handler in this module."""
     parser = argparse.ArgumentParser(
         prog="harmonode",
         description="Quantify spatial-truss connection complexity from nodal force demands.",
@@ -82,7 +85,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", parents=[statics, output], help="solve one load case, export CSV results")
     p.add_argument("model", help="path to a .truss.json model")
-    p.set_defaults(handler=cmd_analyze)
+    p.set_defaults(handler="cmd_analyze")
 
     p = sub.add_parser(
         "descriptors", parents=[signature, statics, output], help="export per-node feature vectors"
@@ -93,32 +96,32 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--write-expansions", action="store_true", help="also export per-node coefficient files"
     )
-    p.set_defaults(handler=cmd_descriptors)
+    p.set_defaults(handler="cmd_descriptors")
 
     p = sub.add_parser("distances", parents=[output], help="pairwise distance matrix + heatmap")
     p.add_argument("input", help="feature_vectors.csv from descriptors or sweep")
-    p.set_defaults(handler=cmd_distances)
+    p.set_defaults(handler="cmd_distances")
 
     p = sub.add_parser("mds", parents=[output], help="low-dimensional embedding + scatter")
     p.add_argument("input", help="feature_vectors.csv from descriptors or sweep")
     p.add_argument("--dims", type=int, default=2, help="embedding dimension (default 2)")
-    p.set_defaults(handler=cmd_mds)
+    p.set_defaults(handler="cmd_mds")
 
     p = sub.add_parser("cluster", parents=[output], help="k-means grouping of node signatures")
     p.add_argument("input", help="feature_vectors.csv from descriptors or sweep")
     p.add_argument("--k", type=int, default=10, help="number of clusters (default 10)")
     p.add_argument("--seed", type=int, default=0, help="clustering seed (default 0)")
-    p.set_defaults(handler=cmd_cluster)
+    p.set_defaults(handler="cmd_cluster")
 
     p = sub.add_parser("complexity", parents=[output], help="minimal enclosing sphere radius")
     p.add_argument("input", help="feature_vectors.csv from descriptors or sweep")
-    p.set_defaults(handler=cmd_complexity)
+    p.set_defaults(handler="cmd_complexity")
 
     p = sub.add_parser("sweep", parents=[signature, output], help="design-space study over sampled variants")
     p.add_argument("params", help="JSON file describing the parametric family")
     p.add_argument("--n", type=int, default=20, help="number of sampled designs (default 20)")
     p.add_argument("--seed", type=int, default=0, help="sampling seed (default 0)")
-    p.set_defaults(handler=cmd_sweep)
+    p.set_defaults(handler="cmd_sweep")
 
     return parser
 

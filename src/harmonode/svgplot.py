@@ -3,7 +3,9 @@
 Pure string assembly, no plotting dependency: grayscale matrix heatmaps,
 2D scatters with optional enclosing-circle overlay, parallel-coordinate
 line plots, and generic scatter charts. Output is standalone valid XML and
-byte-identical for identical inputs.
+byte-identical for identical inputs. Parallel-coordinate polylines are
+placed and formatted in bulk, with the same operations and the same
+rounding as one point at a time, so their bytes are those of _fmt.
 """
 
 from __future__ import annotations
@@ -152,8 +154,8 @@ def scatter(
 def parallel_coordinates(rows, labels=None, title: str = "") -> str:
     """One polyline per row over evenly spaced component axes, shared y scale."""
     data = np.atleast_2d(np.asarray(rows, dtype=float))
-    n_rows, n_axes = data.shape
-    lo = min(0.0, float(data.min()))
+    n_axes = data.shape[1]
+    lo = min(0.0, float(data.min())) if data.size else 0.0
     hi = float(data.max()) if data.size else 1.0
     frame = _Frame((0, max(n_axes - 1, 1)), (lo, hi or 1.0), width=720, height=480)
 
@@ -169,11 +171,14 @@ def parallel_coordinates(rows, labels=None, title: str = "") -> str:
         )
         if axis % max(1, n_axes // 8) == 0 or axis == n_axes - 1:
             body.append(_text(frame.x(axis), frame.height - frame.margin + 16, str(axis), size=9, anchor="middle"))
-    for i in range(n_rows):
-        points = " ".join(f"{x},{_fmt(frame.y(value))}" for x, value in zip(xs, data[i]))
+    # All y positions at once, in _Frame.y's order of operations, and one
+    # format per polyline: "%.2f" rounds as _fmt does.
+    ys = (frame.height - frame.margin) - (data - frame.y_lo) / frame.y_span * frame.box_h
+    points = " ".join(f"{x},%.2f" for x in xs)
+    for i, row in enumerate(ys.tolist()):
         color = group_color(int(labels[i])) if labels is not None else "#1f77b4"
         body.append(
-            f'<polyline points="{points}" fill="none" stroke="{color}" '
+            f'<polyline points="{points % tuple(row)}" fill="none" stroke="{color}" '
             'stroke-width="1" stroke-opacity="0.55"/>'
         )
     return _document(frame.width, frame.height, body)

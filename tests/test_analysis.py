@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -7,14 +8,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from harmonode import analysis
 from harmonode.analysis import (
+    ClusterAssignment,
     classical_mds,
     complexity_score,
     kmeans,
     min_enclosing_ball,
     principal_coordinates,
 )
-from harmonode.descriptor import FeatureVector, distance_matrix
+from harmonode.descriptor import FeatureVector, distance_matrix, node_feature_vectors
+from harmonode.fea import extract_demands, solve
+from harmonode.generator import GridTrussParams, apply_control_sample, generate_grid_truss
 
 
 def brute_force_ball_radius(points: np.ndarray) -> float:
@@ -369,3 +374,122 @@ class TestKmeans:
             members = points[assignment.members(label)]
             gaps = np.sqrt(((members - sphere.center) ** 2).sum(axis=1))
             assert gaps.max() <= sphere.radius * (1 + 1e-9) + 1e-12
+
+
+# One restart at a time, as k-means ran before its restarts were batched:
+# the oracle for the batch's bits.
+def oracle_kmeans(points: np.ndarray, k: int, seed: int) -> ClusterAssignment:
+    best = None
+    for run in range(analysis._KMEANS_RESTARTS):
+        rng = np.random.default_rng((seed, run))
+        labels, history = oracle_lloyd(points, k, oracle_kmeans_plus_plus(points, k, rng))
+        inertia = history[-1]
+        if best is None or inertia < best[0] - 1e-12:
+            best = (inertia, labels, history)
+    inertia, labels, history = best
+    spheres = [min_enclosing_ball(points[labels == label]) for label in range(k)]
+    first_member = [int(np.flatnonzero(labels == label)[0]) for label in range(k)]
+    order = sorted(range(k), key=lambda label: (spheres[label].radius, first_member[label]))
+    remap = np.empty(k, dtype=int)
+    remap[order] = np.arange(k)
+    spheres = tuple(spheres[label] for label in order)
+    return ClusterAssignment(k, remap[labels], tuple(range(len(points))), spheres, inertia, history)
+
+
+def oracle_lloyd(points: np.ndarray, k: int, centroids: np.ndarray):
+    labels = np.full(points.shape[0], -1)
+    history = []
+    for _ in range(analysis._KMEANS_MAX_ITER):
+        dist2 = ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=-1)
+        new_labels = np.argmin(dist2, axis=1)
+        history.append(float(dist2[np.arange(points.shape[0]), new_labels].sum()))
+        if np.array_equal(new_labels, labels):
+            break
+        labels = new_labels
+        for label in range(k):
+            members = points[labels == label]
+            if len(members):
+                centroids[label] = members.mean(axis=0)
+            else:
+                residual = ((points - centroids[labels]) ** 2).sum(axis=1)
+                stray = int(np.argmax(residual))
+                centroids[label] = points[stray]
+                labels[stray] = label
+    return labels, tuple(history)
+
+
+def oracle_kmeans_plus_plus(points: np.ndarray, k: int, rng) -> np.ndarray:
+    n = points.shape[0]
+    first = int(rng.integers(n))
+    centroids = [points[first]]
+    dist2 = ((points - centroids[0]) ** 2).sum(axis=1)
+    for _ in range(1, k):
+        total = float(dist2.sum())
+        target = rng.random() * total
+        chosen = min(int(np.searchsorted(np.cumsum(dist2), target)), n - 1)
+        centroids.append(points[chosen])
+        dist2 = np.minimum(dist2, ((points - points[chosen]) ** 2).sum(axis=1))
+    return np.array(centroids)
+
+
+def assert_same_bits(got: ClusterAssignment, want: ClusterAssignment):
+    assert np.array_equal(got.labels, want.labels)
+    assert got.inertia == want.inertia
+    assert got.objective_history == want.objective_history
+    for mine, theirs in zip(got.spheres, want.spheres, strict=True):
+        assert np.array_equal(mine.center, theirs.center) and mine.radius == theirs.radius
+
+
+@st.composite
+def clustering_cases(draw):
+    """Lattice points with repeated rows, scaled and shifted, and a valid k and seed."""
+    dim = draw(st.integers(1, 5))
+    lattice = draw(arrays(np.int64, (draw(st.integers(1, 12)), dim), elements=st.integers(-3, 3)))
+    rows = draw(st.lists(st.integers(0, len(lattice) - 1), min_size=1, max_size=40))
+    scale = draw(st.floats(1e-3, 1e3))
+    offset = draw(st.sampled_from([0.0, 1.0 / 3.0, 1e4]))
+    points = lattice[rows] * scale + offset
+    k = draw(st.integers(1, np.unique(points, axis=0).shape[0]))
+    return points, k, draw(st.integers(0, 2**32 - 1))
+
+
+class TestBatchedKmeans:
+    @settings(max_examples=300, deadline=None)
+    @given(case=clustering_cases())
+    def test_equals_one_restart_at_a_time(self, case):
+        points, k, seed = case
+        assert_same_bits(kmeans(points, k, seed), oracle_kmeans(points, k, seed))
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    @pytest.mark.parametrize("k", [2, 5, 12])
+    @pytest.mark.parametrize("dim", [1, 17])
+    def test_equals_one_restart_at_a_time_on_noise(self, dim, k, seed):
+        points = np.random.default_rng(149).normal(size=(85, dim)) * 1e6
+        assert_same_bits(kmeans(points, k, seed), oracle_kmeans(points, k, seed))
+
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_emptied_clusters_are_refilled_as_one_run_alone(self, dim):
+        # Every point is nearest centre 0, so clusters 1 and 2 start empty.
+        points = np.repeat(np.array([[0.0], [1.0], [2.0]]), dim, axis=1)
+        start = np.repeat(np.array([[0.0], [100.0], [101.0]]), dim, axis=1)
+        other = points[[2, 0, 1]]  # a run that never empties, batched alongside
+        runs = analysis._lloyd(points, 3, np.stack([start, other]))
+        (labels, history), (other_labels, other_history) = runs
+        want_labels, want_history = oracle_lloyd(points, 3, start.copy())
+        assert np.array_equal(labels, want_labels) and history == want_history
+        assert sorted(labels) == [0, 1, 2]
+        want_labels, want_history = oracle_lloyd(points, 3, other.copy())
+        assert np.array_equal(other_labels, want_labels) and other_history == want_history
+
+    def test_peak_memory_on_the_25x25_study_signatures(self):
+        family = GridTrussParams(nx=25, ny=25, bay=3.0, depth=1.0, control_heights=((0.0, 0.0),) * 4)
+        model = generate_grid_truss(apply_control_sample(family, (0.25, 1.5, 1.75, 0.5)))
+        points = np.array([v.components for v in node_feature_vectors(extract_demands(model, solve(model)))])
+        tracemalloc.start()
+        try:
+            kmeans(points, k=10, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert points.shape == (1201, 17)
+        assert peak < 12 * 2**20

@@ -339,6 +339,62 @@ class TestDownstreamCommands:
         assert result.returncode == 0, result.stderr
 
 
+class TestOutputPath:
+    @pytest.mark.parametrize("command", ["cluster", "descriptors", "sweep"])
+    @pytest.mark.parametrize("under", [False, True], ids=["names-a-file", "under-a-file"])
+    def test_unusable_out_exits_two_without_traceback(self, request, tmp_path, capsys, command, under):
+        source, flags = {
+            "cluster": ("two_bar_features", ["--k", "2"]),
+            "descriptors": ("two_bar_path", []),
+            "sweep": ("family_path", ["--n", "1"]),
+        }[command]
+        blocker = tmp_path / "blocker"
+        blocker.write_text("not a directory")
+        out = blocker / "sub" if under else blocker
+        argv = [command, str(request.getfixturevalue(source)), *flags, "--out", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(blocker) in err
+        assert "Traceback" not in err
+
+
+class TestParserReuse:
+    def test_one_process_matches_fresh_processes(self, two_bar_features, tmp_path, capsys):
+        runs = [
+            ["cluster", str(two_bar_features), "--k", "2"],
+            ["complexity", str(two_bar_features)],
+        ]
+        shared, fresh = tmp_path / "shared", tmp_path / "fresh"
+        assert main(runs[0] + ["--out", str(shared)]) == 0
+        with pytest.raises(SystemExit) as usage:
+            main(["cluster", str(two_bar_features), "--k", "two"])
+        assert usage.value.code == 2
+        assert main(runs[1] + ["--out", str(shared)]) == 0
+        shared_stdout = capsys.readouterr().out
+        fresh_stdout = ""
+        for argv in runs:
+            result = subprocess.run(
+                [sys.executable, "-m", "harmonode.cli", *argv, "--out", str(fresh)],
+                capture_output=True, text=True, timeout=120,
+            )
+            assert result.returncode == 0, result.stderr
+            fresh_stdout += result.stdout
+        assert shared_stdout == fresh_stdout
+        names = sorted(path.name for path in fresh.iterdir())
+        assert names == sorted(path.name for path in shared.iterdir())
+        assert "clusters.csv" in names and "summary.csv" in names
+        for name in names:
+            assert (shared / name).read_bytes() == (fresh / name).read_bytes(), name
+
+    def test_dispatch_runs_the_handler_bound_at_call_time(self, monkeypatch, tmp_path):
+        cli._build_parser()  # the parser exists before the rebinding
+        seen = []
+        monkeypatch.setattr(cli, "cmd_cluster", lambda args: seen.append(args.k) or 0)
+        assert main(["cluster", str(tmp_path / "absent.csv"), "--k", "3"]) == 0
+        assert seen == [3]
+        assert cli._build_parser() is cli._build_parser()
+
+
 class TestDeterminism:
     def test_repeated_runs_byte_identical(self, two_bar_path, tmp_path):
         out_a, out_b = tmp_path / "r1", tmp_path / "r2"
