@@ -31,18 +31,19 @@ from .descriptor import (
     KERNEL_COORDINATE,
     KERNEL_GEODESIC,
     distance_matrix,
-    energy_vector,
+    energy_vectors,
     node_expansions,
 )
 from .fea import SingularStructureError, extract_demands, solve
 from .generator import GridTrussParams, free_control_cells, latin_hypercube, sweep
 from .harmonics import DEFAULT_L_MAX
-from .model import ModelFormatError, TrussModel, UnknownFieldWarning, is_finite_number, read_model
+from .model import ModelFormatError, TrussModel, UnknownFieldWarning, _warn_unknown, is_finite_number, read_model
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        args.out.mkdir(parents=True, exist_ok=True)
         # By name, so a rebinding of cmd_* (a tracer, a monkeypatch) is the one that runs.
         return globals()[args.handler](args)
     except OSError as exc:
@@ -64,7 +65,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     # Each subcommand accepts only the flag groups it reads.
     output = argparse.ArgumentParser(add_help=False)
-    output.add_argument("--out", default=".", help="output directory (default current)")
+    output.add_argument("--out", type=Path, default=".", help="output directory (default current)")
     statics = argparse.ArgumentParser(add_help=False)
     statics.add_argument("--load-case", default=None, help="load case to analyze")
     signature = argparse.ArgumentParser(add_help=False)
@@ -126,12 +127,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _out_dir(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 def _load_model(path: str) -> TrussModel:
     p = Path(path)
     if not p.exists():
@@ -154,10 +149,9 @@ def _input_vectors(args):
 def cmd_analyze(args) -> int:
     model = _load_model(args.model)
     result = solve(model, args.load_case)
-    out = _out_dir(args)
-    exports.write_displacements_csv(out / "displacements.csv", result)
-    exports.write_forces_csv(out / "forces.csv", result)
-    exports.write_reactions_csv(out / "reactions.csv", result)
+    exports.write_displacements_csv(args.out / "displacements.csv", result)
+    exports.write_forces_csv(args.out / "forces.csv", result)
+    exports.write_reactions_csv(args.out / "reactions.csv", result)
     peak = max(abs(f) for f in result.axial_forces.values()) if result.axial_forces else 0.0
     print(
         f"analyzed case {result.load_case!r}: {len(model.nodes)} nodes, "
@@ -175,12 +169,11 @@ def cmd_descriptors(args) -> int:
     expansions = node_expansions(
         demands, args.delta, args.lmax, kernel=args.kernel, amplitude_mode=args.amplitude
     )
-    vectors = [energy_vector(e, d.node) for d, e in zip(demands, expansions)]
-    out = _out_dir(args)
-    exports.write_feature_vectors_csv(out / "feature_vectors.csv", vectors)
+    vectors = energy_vectors(demands, expansions)
+    exports.write_feature_vectors_csv(args.out / "feature_vectors.csv", vectors)
     if args.write_expansions:
         for demand, expansion in zip(demands, expansions):
-            exports.write_expansion_csv(out / f"expansion_{demand.node:04d}.csv", expansion)
+            exports.write_expansion_csv(args.out / f"expansion_{demand.node:04d}.csv", expansion)
     print(f"wrote {len(vectors)} feature vectors of length {args.lmax + 1}")
     return 0
 
@@ -188,9 +181,8 @@ def cmd_descriptors(args) -> int:
 def cmd_distances(args) -> int:
     vectors = _input_vectors(args)
     matrix = distance_matrix(vectors)
-    out = _out_dir(args)
-    exports.write_distance_matrix_csv(out / "distance_matrix.csv", matrix)
-    (out / "distance_matrix.svg").write_text(
+    exports.write_distance_matrix_csv(args.out / "distance_matrix.csv", matrix)
+    (args.out / "distance_matrix.svg").write_text(
         svgplot.heatmap(matrix.values, title="node signature distances")
     )
     print(f"distance matrix over {len(vectors)} nodes, max distance {matrix.values.max():.6g}")
@@ -200,11 +192,10 @@ def cmd_distances(args) -> int:
 def cmd_mds(args) -> int:
     points, node_ids = _as_points(_input_vectors(args))
     embedding = principal_coordinates(points, args.dims)
-    out = _out_dir(args)
-    exports.write_embedding_csv(out / "mds.csv", embedding, node_ids)
+    exports.write_embedding_csv(args.out / "mds.csv", embedding, node_ids)
     if args.dims == 2:
         ball = min_enclosing_ball(embedding.coordinates)
-        (out / "mds.svg").write_text(
+        (args.out / "mds.svg").write_text(
             svgplot.scatter(
                 embedding.coordinates,
                 circles=[(ball.center, ball.radius)],
@@ -221,12 +212,11 @@ def cmd_cluster(args) -> int:
     vectors = _input_vectors(args)
     assignment = kmeans(vectors, k=args.k, seed=args.seed)
     points, _ = _as_points(vectors)
-    out = _out_dir(args)
-    exports.write_clusters_csv(out / "clusters.csv", assignment)
-    exports.write_cluster_summary_csv(out / "cluster_summary.csv", assignment)
+    exports.write_clusters_csv(args.out / "clusters.csv", assignment)
+    exports.write_cluster_summary_csv(args.out / "cluster_summary.csv", assignment)
     if len(vectors) > 2:
         coordinates, _ = _principal_axes(points, 2)
-        (out / "clusters.svg").write_text(
+        (args.out / "clusters.svg").write_text(
             svgplot.scatter(
                 coordinates,
                 labels=assignment.labels,
@@ -235,7 +225,7 @@ def cmd_cluster(args) -> int:
                 y_label="coord 1",
             )
         )
-    (out / "parallel_coordinates.svg").write_text(
+    (args.out / "parallel_coordinates.svg").write_text(
         svgplot.parallel_coordinates(points, labels=assignment.labels, title="signatures by cluster")
     )
     radii = ", ".join(f"{s.radius:.4g}" for s in assignment.spheres)
@@ -254,8 +244,7 @@ def cmd_complexity(args) -> int:
     if points.shape[0] > 2:
         coordinates, _ = _principal_axes(points, 2)
         summary["complexity_radius_2d"] = min_enclosing_ball(coordinates).radius
-    out = _out_dir(args)
-    exports.write_summary_csv(out / "summary.csv", summary)
+    exports.write_summary_csv(args.out / "summary.csv", summary)
     print(f"complexity_radius: {radius!r}")
     return 0
 
@@ -266,11 +255,10 @@ def cmd_sweep(args) -> int:
         raise FileNotFoundError(f"params file not found: {args.params}")
     params, bounds = _read_sweep_params(path)
     samples = latin_hypercube(args.n, bounds, seed=args.seed)
-    out = _out_dir(args)
     records = sweep(
         params,
         samples,
-        out,
+        args.out,
         delta=args.delta,
         l_max=args.lmax,
         kernel=args.kernel,
@@ -279,7 +267,7 @@ def cmd_sweep(args) -> int:
     solved = [r for r in records if r.status == "ok"]
     if solved:
         points = [(r.mass_per_area, r.complexity_radius) for r in solved]
-        (out / "biobjective.svg").write_text(
+        (args.out / "biobjective.svg").write_text(
             svgplot.scatter(
                 points,
                 title="design family: material use vs connection complexity",
@@ -288,7 +276,7 @@ def cmd_sweep(args) -> int:
             )
         )
     failures = len(records) - len(solved)
-    print(f"swept {len(records)} designs ({failures} failed); results in {out / 'sweep.csv'}")
+    print(f"swept {len(records)} designs ({failures} failed); results in {args.out / 'sweep.csv'}")
     return 0
 
 
@@ -330,9 +318,7 @@ def _read_sweep_params(path: Path) -> tuple[GridTrussParams, tuple]:
     if not isinstance(raw, dict):
         raise ModelFormatError(f"{path}: top level must be a JSON object")
     coercions = {f.name: _FIELD_COERCIONS[f.type] for f in dataclasses.fields(GridTrussParams)}
-    for key in raw:
-        if key not in coercions and key != "bounds":
-            warnings.warn(f"ignoring unknown field {key!r}", UnknownFieldWarning, stacklevel=2)
+    _warn_unknown(raw, {*coercions, "bounds"})
     values = {}
     for name, coerce in coercions.items():
         if name in raw:

@@ -36,10 +36,11 @@ from .harmonics import (
     QuadratureGrid,
     SphericalSamples,
     _degree_order,
+    _gauss_legendre,
     _harmonics,
     build_grid,
+    degree_energies,
     expand,
-    frequency_energies,
 )
 
 KERNEL_COORDINATE = "coordinate"
@@ -82,7 +83,7 @@ class FeatureVector:
     node: int | None = None
 
     def __post_init__(self):
-        if not all(math.isfinite(c) for c in self.components):
+        if not all(map(math.isfinite, self.components)):
             raise ValueError("feature vector components must be finite")
 
     def as_array(self) -> np.ndarray:
@@ -186,16 +187,18 @@ def _geodesic_eigenvalues(delta: float, l_max: int) -> np.ndarray:
     bump's peak g = 0. 64 nodes reach round-off up to delta = 50; four per
     degree resolve P_l at high l_max.
     """
-    x, w = np.polynomial.legendre.leggauss(max(64, 4 * (l_max + 1)))
+    x, w = _gauss_legendre(max(64, 4 * (l_max + 1)))
     gamma = 0.5 * np.pi * (x + 1.0)
     weights = np.pi * np.pi * w * np.exp(-delta * gamma * gamma) * np.sin(gamma)
     return np.polynomial.legendre.legvander(np.cos(gamma), l_max).T @ weights
 
 
-def energy_vector(expansion: HarmonicExpansion, node: int | None = None) -> FeatureVector:
-    """A node's feature vector: the per-degree energies of its expansion."""
-    energies = frequency_energies(expansion)
-    return FeatureVector(components=tuple(float(e) for e in energies), node=node)
+def energy_vectors(demands: list[NodalDemand], expansions: list[HarmonicExpansion]) -> list[FeatureVector]:
+    """Each node's feature vector, in demand order: the per-degree energies of its expansion."""
+    if not expansions:
+        return []
+    energies = degree_energies(np.array([e.coefficients for e in expansions]), expansions[0].l_max)
+    return [FeatureVector(tuple(row), d.node) for d, row in zip(demands, energies.tolist())]
 
 
 def node_feature_vectors(
@@ -208,7 +211,7 @@ def node_feature_vectors(
 ) -> list[FeatureVector]:
     """Feature vectors of many demands: the energies of their node_expansions."""
     expansions = node_expansions(demands, delta, l_max, grid, kernel, amplitude_mode)
-    return [energy_vector(e, d.node) for d, e in zip(demands, expansions)]
+    return energy_vectors(demands, expansions)
 
 
 def distance_matrix(vectors: list[FeatureVector]) -> DistanceMatrix:

@@ -77,7 +77,7 @@ def read_feature_vectors_csv(path: Path) -> list[FeatureVector]:
                 raise ValueError(f"{where}: {len(row)} fields, but the header has {len(header)}")
             try:
                 node = int(row[0]) if row[0] else len(vectors)
-                vectors.append(FeatureVector(components=tuple(float(c) for c in row[1:]), node=node))
+                vectors.append(FeatureVector(components=tuple(map(float, row[1:])), node=node))
             except ValueError as exc:
                 raise ValueError(f"{where}: {exc}") from exc
             if first_lines.setdefault(node, reader.line_num) != reader.line_num:

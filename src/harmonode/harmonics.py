@@ -272,8 +272,19 @@ def frequency_energies(expansion: HarmonicExpansion) -> np.ndarray:
     Each degree spans a rotation-closed subspace, so these are invariant to
     rigid rotation of the underlying function.
     """
-    energies = np.zeros(expansion.l_max + 1)
-    for l in range(expansion.l_max + 1):
-        block = expansion.coefficients[l * l : (l + 1) * (l + 1)]
-        energies[l] = math.sqrt(float(block @ block))
-    return energies
+    return degree_energies(expansion.coefficients, expansion.l_max)[0]
+
+
+def degree_energies(coefficients: np.ndarray, l_max: int) -> np.ndarray:
+    """frequency_energies of every row of flat coefficients, shape (rows, l_max+1).
+
+    One batched (1 x k)(k x 1) product per degree sums each row's squares
+    with the dot kernel of block @ block, so every row is bit-equal to its
+    own expansion's energies.
+    """
+    rows = np.asarray(coefficients, dtype=float).reshape(-1, (l_max + 1) ** 2)
+    squares = np.empty((len(rows), l_max + 1))
+    for l in range(l_max + 1):
+        block = rows[:, l * l : (l + 1) * (l + 1)]
+        squares[:, l] = (block[:, None, :] @ block[:, :, None])[:, 0, 0]
+    return np.sqrt(squares)

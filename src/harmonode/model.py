@@ -15,13 +15,8 @@ from dataclasses import dataclass
 
 MIN_ELEMENT_LENGTH = 1e-9
 
-# Top-level and per-entity key order used by write_model. Documented in
-# docs/schema.md; read_model accepts keys in any order.
+# Top-level keys, in the order write_model writes them (docs/schema.md).
 _MODEL_KEYS = ("name", "enclosure_area", "nodes", "elements", "supports", "loads")
-_NODE_KEYS = ("id", "x", "y", "z")
-_ELEMENT_KEYS = ("id", "start", "end", "area", "youngs_modulus")
-_SUPPORT_KEYS = ("node", "fix")
-_LOAD_KEYS = ("node", "force", "case")
 
 
 def is_finite_number(value) -> bool:
@@ -205,89 +200,32 @@ def read_model(document: str | bytes) -> TrussModel:
 
     if not isinstance(raw, dict):
         raise ModelFormatError("top level must be a JSON object")
-    _warn_unknown(raw, _MODEL_KEYS, "")
+    _warn_unknown(raw, _MODEL_KEYS)
 
-    nodes = []
+    # A node's id is checked for duplicates as it is read, before its coordinates.
     seen_node_ids: set[int] = set()
-    for i, item in enumerate(_expect_array(raw, "nodes", required=True)):
-        path = f"nodes[{i}]"
-        _expect_object(item, path)
-        _warn_unknown(item, _NODE_KEYS, path)
-        node_id = _expect_int(item, "id", path)
+
+    def new_node_id(value, prefix: str, key: str) -> int:
+        node_id = _integer(value, prefix, key)
         if node_id in seen_node_ids:
-            raise ModelFormatError(f"{path}.id: duplicate node id {node_id}")
+            raise ModelFormatError(f"{prefix}{key}: duplicate node id {node_id}")
         seen_node_ids.add(node_id)
-        nodes.append(
-            TrussNode(
-                id=node_id,
-                position=Point3(
-                    _expect_number(item, "x", path),
-                    _expect_number(item, "y", path),
-                    _expect_number(item, "z", path),
-                ),
-            )
-        )
+        return node_id
 
-    elements = []
-    for i, item in enumerate(_expect_array(raw, "elements", required=True)):
-        path = f"elements[{i}]"
-        _expect_object(item, path)
-        _warn_unknown(item, _ELEMENT_KEYS, path)
-        elements.append(
-            TrussElement(
-                id=_expect_int(item, "id", path),
-                start=_expect_int(item, "start", path),
-                end=_expect_int(item, "end", path),
-                area=_expect_number(item, "area", path),
-                youngs_modulus=_expect_number(item, "youngs_modulus", path),
-            )
-        )
-
-    supports = []
-    for i, item in enumerate(_expect_array(raw, "supports")):
-        path = f"supports[{i}]"
-        _expect_object(item, path)
-        _warn_unknown(item, _SUPPORT_KEYS, path)
-        fix = item.get("fix")
-        if (
-            not isinstance(fix, list)
-            or len(fix) != 3
-            or not all(isinstance(v, bool) for v in fix)
-        ):
-            raise ModelFormatError(f"{path}.fix: expected an array of three booleans")
-        supports.append(Support(node=_expect_int(item, "node", path), fixed=tuple(fix)))
-
-    loads = []
-    for i, item in enumerate(_expect_array(raw, "loads")):
-        path = f"loads[{i}]"
-        _expect_object(item, path)
-        _warn_unknown(item, _LOAD_KEYS, path)
-        force = item.get("force")
-        if not isinstance(force, list) or len(force) != 3:
-            raise ModelFormatError(f"{path}.force: expected an array of three numbers")
-        fx, fy, fz = (_as_number(v, f"{path}.force[{j}]") for j, v in enumerate(force))
-        case = item.get("case", "default")
-        if not isinstance(case, str):
-            raise ModelFormatError(f"{path}.case: expected a string")
-        loads.append(
-            PointLoad(node=_expect_int(item, "node", path), force=Point3(fx, fy, fz), load_case=case)
-        )
+    fields = {**_NODE_FIELDS, "id": new_node_id}
+    nodes = tuple(TrussNode(i, Point3(x, y, z)) for i, x, y, z in _records(raw, "nodes", fields, required=True))
+    elements = tuple(TrussElement(*v) for v in _records(raw, "elements", _ELEMENT_FIELDS, required=True))
+    supports = tuple(Support(node, fix) for fix, node in _records(raw, "supports", _SUPPORT_FIELDS))
+    loads = tuple(PointLoad(node, force, case) for force, case, node in _records(raw, "loads", _LOAD_FIELDS))
 
     name = raw.get("name", "")
     if not isinstance(name, str):
         raise ModelFormatError("name: expected a string")
     enclosure_area = raw.get("enclosure_area")
     if enclosure_area is not None:
-        enclosure_area = _as_number(enclosure_area, "enclosure_area")
+        enclosure_area = _number(enclosure_area, "", "enclosure_area")
 
-    model = TrussModel(
-        nodes=tuple(nodes),
-        elements=tuple(elements),
-        supports=tuple(supports),
-        loads=tuple(loads),
-        name=name,
-        enclosure_area=enclosure_area,
-    )
+    model = TrussModel(nodes, elements, supports, loads, name, enclosure_area)
     violations = validate(model)
     if violations:
         raise ModelFormatError("model violates invariants: " + "; ".join(violations))
@@ -324,41 +262,72 @@ def write_model(model: TrussModel) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-def _warn_unknown(obj: dict, known: tuple[str, ...], path: str) -> None:
+def _warn_unknown(obj: dict, known, prefix: str = "", stacklevel: int = 3) -> None:
+    """Warn once per key of obj not in known; stacklevel 3 names the caller's caller."""
     for key in obj:
         if key not in known:
-            where = f"{path}.{key}" if path else key
-            warnings.warn(f"ignoring unknown field {where!r}", UnknownFieldWarning, stacklevel=3)
+            warnings.warn(f"ignoring unknown field {prefix + key!r}", UnknownFieldWarning, stacklevel=stacklevel)
 
 
-def _expect_object(item, path: str) -> None:
-    if not isinstance(item, dict):
-        raise ModelFormatError(f"{path}: expected a JSON object")
-
-
-def _expect_array(raw: dict, key: str, required: bool = False) -> list:
-    value = raw.get(key, None if required else [])
-    if value is None:
+def _records(raw: dict, key: str, fields: dict, required: bool = False) -> list[list]:
+    """Each object of the array raw[key] as its field values, in the order of fields."""
+    items = raw.get(key, None if required else [])
+    if items is None:
         raise ModelFormatError(f"{key}: required array is missing")
-    if not isinstance(value, list):
+    if not isinstance(items, list):
         raise ModelFormatError(f"{key}: expected an array")
-    return value
+    records = []
+    for i, item in enumerate(items):
+        if not isinstance(item, dict):
+            raise ModelFormatError(f"{key}[{i}]: expected a JSON object")
+        prefix = f"{key}[{i}]."
+        _warn_unknown(item, fields, prefix, stacklevel=4)
+        records.append([read(item.get(name, _MISSING), prefix, name) for name, read in fields.items()])
+    return records
 
 
-def _expect_int(item: dict, key: str, path: str) -> int:
-    value = item.get(key)
+# Field readers: (value, prefix, key) -> the parsed value, or ModelFormatError
+# naming prefix + key, the field's JSON path. An absent key reads as _MISSING.
+_MISSING = object()
+
+
+def _integer(value, prefix: str, key: str) -> int:
     if not isinstance(value, int) or isinstance(value, bool):
-        raise ModelFormatError(f"{path}.{key}: expected an integer")
+        raise ModelFormatError(f"{prefix}{key}: expected an integer")
     return value
 
 
-def _expect_number(item: dict, key: str, path: str) -> float:
-    if key not in item:
-        raise ModelFormatError(f"{path}.{key}: required number is missing")
-    return _as_number(item[key], f"{path}.{key}")
-
-
-def _as_number(value, where: str) -> float:
+def _number(value, prefix: str, key: str) -> float:
+    if value is _MISSING:
+        raise ModelFormatError(f"{prefix}{key}: required number is missing")
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ModelFormatError(f"{where}: expected a number")
+        raise ModelFormatError(f"{prefix}{key}: expected a number")
     return float(value)
+
+
+def _fix(value, prefix: str, key: str) -> tuple[bool, bool, bool]:
+    if not isinstance(value, list) or len(value) != 3 or not all(isinstance(v, bool) for v in value):
+        raise ModelFormatError(f"{prefix}{key}: expected an array of three booleans")
+    return tuple(value)
+
+
+def _force(value, prefix: str, key: str) -> Point3:
+    if not isinstance(value, list) or len(value) != 3:
+        raise ModelFormatError(f"{prefix}{key}: expected an array of three numbers")
+    return Point3(*(_number(v, prefix, f"{key}[{j}]") for j, v in enumerate(value)))
+
+
+def _case(value, prefix: str, key: str) -> str:
+    if value is _MISSING:
+        return "default"
+    if not isinstance(value, str):
+        raise ModelFormatError(f"{prefix}{key}: expected a string")
+    return value
+
+
+# One field table per entity: its keys, each with its reader, in the order
+# read_model checks them. write_model writes the same keys (docs/schema.md).
+_NODE_FIELDS = {"id": _integer, "x": _number, "y": _number, "z": _number}
+_ELEMENT_FIELDS = {"id": _integer, "start": _integer, "end": _integer, "area": _number, "youngs_modulus": _number}
+_SUPPORT_FIELDS = {"fix": _fix, "node": _integer}
+_LOAD_FIELDS = {"force": _force, "case": _case, "node": _integer}

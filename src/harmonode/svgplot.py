@@ -171,9 +171,8 @@ def parallel_coordinates(rows, labels=None, title: str = "") -> str:
         )
         if axis % max(1, n_axes // 8) == 0 or axis == n_axes - 1:
             body.append(_text(frame.x(axis), frame.height - frame.margin + 16, str(axis), size=9, anchor="middle"))
-    # All y positions at once, in _Frame.y's order of operations, and one
-    # format per polyline: "%.2f" rounds as _fmt does.
-    ys = (frame.height - frame.margin) - (data - frame.y_lo) / frame.y_span * frame.box_h
+    # All y positions at once, and one format per polyline: "%.2f" rounds as _fmt does.
+    ys = frame.y(data)
     points = " ".join(f"{x},%.2f" for x in xs)
     for i, row in enumerate(ys.tolist()):
         color = group_color(int(labels[i])) if labels is not None else "#1f77b4"

@@ -342,7 +342,9 @@ class TestDownstreamCommands:
 class TestOutputPath:
     @pytest.mark.parametrize("command", ["cluster", "descriptors", "sweep"])
     @pytest.mark.parametrize("under", [False, True], ids=["names-a-file", "under-a-file"])
-    def test_unusable_out_exits_two_without_traceback(self, request, tmp_path, capsys, command, under):
+    def test_unusable_out_exits_two_without_traceback(
+        self, request, tmp_path, capsys, monkeypatch, command, under
+    ):
         source, flags = {
             "cluster": ("two_bar_features", ["--k", "2"]),
             "descriptors": ("two_bar_path", []),
@@ -352,6 +354,13 @@ class TestOutputPath:
         blocker.write_text("not a directory")
         out = blocker / "sub" if under else blocker
         argv = [command, str(request.getfixturevalue(source)), *flags, "--out", str(out)]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("computed before checking --out")
+
+        # --out is checked before any work, not after the whole computation
+        for name in ("solve", "kmeans", "sweep"):
+            monkeypatch.setattr(cli, name, refuse)
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(blocker) in err

@@ -15,6 +15,7 @@ from harmonode.descriptor import (
     ForceFunctionSpec,
     build_force_function,
     distance_matrix,
+    energy_vectors,
     equilibrium_perturbation,
     node_expansions,
     node_feature_vectors,
@@ -415,3 +416,18 @@ def test_node_feature_vectors_share_grid_and_order(flat_model):
     vectors = node_feature_vectors(demands[:5], l_max=8)
     assert [v.node for v in vectors] == [d.node for d in demands[:5]]
     assert all(len(v) == 9 for v in vectors)
+
+
+@pytest.mark.parametrize("kernel", [KERNEL_GEODESIC, KERNEL_COORDINATE])
+def test_energy_vectors_bit_equal_to_per_node_energies(flat_model, kernel):
+    from harmonode.fea import extract_demands, solve
+
+    demands = extract_demands(flat_model, solve(flat_model))
+    expansions = node_expansions(demands, kernel=kernel, amplitude_mode=AMPLITUDE_SIGNED)
+    vectors = energy_vectors(demands, expansions)
+    assert [v.node for v in vectors] == [d.node for d in demands]
+    for vector, expansion in zip(vectors, expansions):
+        a = expansion.coefficients
+        blocks = [a[l * l : (l + 1) * (l + 1)] for l in range(expansion.l_max + 1)]
+        assert vector.components == tuple(math.sqrt(float(b @ b)) for b in blocks)
+    assert energy_vectors([], []) == []

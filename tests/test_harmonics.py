@@ -8,6 +8,7 @@ from harmonode.harmonics import (
     HarmonicExpansion,
     SphericalSamples,
     build_grid,
+    degree_energies,
     expand,
     frequency_energies,
     real_sph_harm,
@@ -265,6 +266,29 @@ class TestFrequencyEnergies:
         for l in range(l_max + 1):
             block = coeffs[l * l : (l + 1) * (l + 1)]
             assert energies[l] == pytest.approx(math.sqrt(np.sum(block * block)), rel=1e-12)
+
+
+def per_row_energies(coefficients, l_max):
+    """The energy rule one row and one degree at a time: sqrt(block @ block)."""
+    blocks = [[row[l * l : (l + 1) * (l + 1)] for l in range(l_max + 1)] for row in coefficients]
+    return np.array([[math.sqrt(float(b @ b)) for b in row] for row in blocks])
+
+
+@pytest.mark.parametrize("l_max", range(21))
+def test_degree_energies_bit_equal_to_per_row_products(l_max):
+    rng = np.random.default_rng(l_max)
+    rows = rng.normal(size=(40, (l_max + 1) ** 2)) * 10.0 ** rng.uniform(-5, 5, size=(40, 1))
+    rows[::7] = 0.0
+    rows[3, ::2] = 0.0
+    energies = degree_energies(rows, l_max)
+    assert energies.shape == (40, l_max + 1)
+    assert np.array_equal(energies, per_row_energies(rows, l_max))
+    single = frequency_energies(HarmonicExpansion(l_max, rows[1].copy()))
+    assert np.array_equal(single, energies[1])
+
+
+def test_degree_energies_of_no_rows():
+    assert degree_energies(np.empty((0, 25)), 4).shape == (0, 5)
 
 
 class TestInvariants:

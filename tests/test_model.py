@@ -1,9 +1,16 @@
+import functools
 import json
 import math
+import operator
+import re
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from harmonode import model as model_module
+from harmonode.cli import _read_sweep_params
 from harmonode.generator import GridTrussParams, generate_grid_truss
 from harmonode.model import (
     ModelFormatError,
@@ -18,6 +25,9 @@ from harmonode.model import (
     validate,
     write_model,
 )
+
+
+DOCS = Path(__file__).resolve().parent.parent / "docs"
 
 
 def minimal_model():
@@ -266,3 +276,125 @@ def test_round_trip_is_lossless_for_random_valid_models():
         model = _random_valid_model(rng)
         assert validate(model) == []
         assert read_model(write_model(model)) == model
+
+
+_DROP = object()
+
+
+def edited(*edits) -> str:
+    """The minimal model's document with each (path, value) edit applied; _DROP deletes the key."""
+    doc = json.loads(write_model(minimal_model()))
+    for path, value in edits:
+        *parents, last = path
+        owner = functools.reduce(operator.getitem, parents, doc)
+        if value is _DROP:
+            del owner[last]
+        else:
+            owner[last] = value
+    return json.dumps(doc)
+
+
+# Malformed documents and the exact first error each one reports. Cases with
+# two bad fields in one entity pin the order in which fields are checked.
+MALFORMED = [
+    ("[]", "top level must be a JSON object"),
+    ("{", "invalid JSON at offset 1 (line 1, column 2): Expecting property name enclosed in double quotes"),
+    (edited((("nodes",), _DROP)), "nodes: required array is missing"),
+    (edited((("nodes",), None)), "nodes: required array is missing"),
+    (edited((("nodes",), {})), "nodes: expected an array"),
+    (edited((("elements",), _DROP)), "elements: required array is missing"),
+    (edited((("elements",), "none")), "elements: expected an array"),
+    (edited((("supports",), 3)), "supports: expected an array"),
+    (edited((("supports",), None)), "supports: required array is missing"),
+    (edited((("loads",), {"node": 1})), "loads: expected an array"),
+    (edited((("nodes", 0), 5)), "nodes[0]: expected a JSON object"),
+    (edited((("nodes", 0, "x"), _DROP)), "nodes[0].x: required number is missing"),
+    (edited((("nodes", 0, "y"), "0")), "nodes[0].y: expected a number"),
+    (edited((("nodes", 1, "z"), True)), "nodes[1].z: expected a number"),
+    (edited((("nodes", 0, "id"), 0.0)), "nodes[0].id: expected an integer"),
+    (edited((("nodes", 0, "id"), _DROP)), "nodes[0].id: expected an integer"),
+    (edited((("nodes", 1, "id"), 0)), "nodes[1].id: duplicate node id 0"),
+    (edited((("nodes", 1, "id"), 0), (("nodes", 1, "x"), _DROP)), "nodes[1].id: duplicate node id 0"),
+    (edited((("nodes", 0, "id"), "a"), (("nodes", 0, "x"), "b")), "nodes[0].id: expected an integer"),
+    (edited((("nodes", 0, "x"), None), (("nodes", 0, "z"), _DROP)), "nodes[0].x: expected a number"),
+    (edited((("nodes", 0, "z"), None), (("elements", 0, "id"), None)), "nodes[0].z: expected a number"),
+    (edited((("elements", 0), [])), "elements[0]: expected a JSON object"),
+    (edited((("elements", 0, "start"), "0")), "elements[0].start: expected an integer"),
+    (edited((("elements", 0, "end"), False), (("elements", 0, "area"), "big")),
+     "elements[0].end: expected an integer"),
+    (edited((("elements", 0, "area"), _DROP), (("elements", 0, "youngs_modulus"), "x")),
+     "elements[0].area: required number is missing"),
+    (edited((("elements", 0, "youngs_modulus"), [2e11])), "elements[0].youngs_modulus: expected a number"),
+    (edited((("elements", 0, "id"), None), (("supports", 0, "fix"), None)), "elements[0].id: expected an integer"),
+    (edited((("supports", 0), "pin")), "supports[0]: expected a JSON object"),
+    (edited((("supports", 0, "fix"), [1, 0, 0])), "supports[0].fix: expected an array of three booleans"),
+    (edited((("supports", 0, "fix"), [True, True])), "supports[0].fix: expected an array of three booleans"),
+    (edited((("supports", 0, "fix"), _DROP)), "supports[0].fix: expected an array of three booleans"),
+    (edited((("supports", 0, "node"), _DROP), (("supports", 0, "fix"), "xyz")),
+     "supports[0].fix: expected an array of three booleans"),
+    (edited((("supports", 0, "node"), 0.5)), "supports[0].node: expected an integer"),
+    (edited((("loads", 0), None)), "loads[0]: expected a JSON object"),
+    (edited((("loads", 0, "force"), _DROP)), "loads[0].force: expected an array of three numbers"),
+    (edited((("loads", 0, "force"), [0.0, -1.0])), "loads[0].force: expected an array of three numbers"),
+    (edited((("loads", 0, "force"), [0.0, "a", None])), "loads[0].force[1]: expected a number"),
+    (edited((("loads", 0, "force"), {"z": -1.0}), (("loads", 0, "case"), 1), (("loads", 0, "node"), "1")),
+     "loads[0].force: expected an array of three numbers"),
+    (edited((("loads", 0, "case"), 1), (("loads", 0, "node"), "1")), "loads[0].case: expected a string"),
+    (edited((("loads", 0, "case"), None)), "loads[0].case: expected a string"),
+    (edited((("loads", 0, "node"), _DROP)), "loads[0].node: expected an integer"),
+    (edited((("name",), 3), (("loads", 0, "node"), _DROP)), "loads[0].node: expected an integer"),
+    (edited((("name",), 3), (("enclosure_area",), "big")), "name: expected a string"),
+    (edited((("enclosure_area",), "big")), "enclosure_area: expected a number"),
+    (edited((("enclosure_area",), True)), "enclosure_area: expected a number"),
+    (edited((("elements", 0, "end"), 5)), "model violates invariants: element 0: references missing node 5; "
+     "model: element graph is not connected; unreachable nodes 1"),
+]
+
+
+@pytest.mark.parametrize("document, message", MALFORMED, ids=range(len(MALFORMED)))
+def test_malformed_document_reports_its_first_error(document, message):
+    with pytest.raises(ModelFormatError) as excinfo:
+        read_model(document)
+    assert str(excinfo.value) == message
+
+
+def test_unknown_field_warnings_point_at_the_caller():
+    doc = json.loads(write_model(minimal_model()))
+    doc["color"] = "red"
+    doc["nodes"][1]["weight"] = 3
+    doc["loads"][0]["factor"] = 1.5
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        read_model(json.dumps(doc))
+    assert [str(w.message) for w in caught] == [
+        "ignoring unknown field 'color'",
+        "ignoring unknown field 'nodes[1].weight'",
+        "ignoring unknown field 'loads[0].factor'",
+    ]
+    assert [w.filename for w in caught] == [__file__] * 3
+
+
+def test_family_file_warning_points_at_the_caller(tmp_path):
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps(
+        {"nx": 4, "ny": 4, "bay": 2.0, "depth": 1.0, "control_heights": [[0.0, 0.0]], "colour": "red"}
+    ))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        _read_sweep_params(path)
+    assert [str(w.message) for w in caught] == ["ignoring unknown field 'colour'"]
+    assert caught[0].filename == __file__
+
+
+@pytest.mark.parametrize(
+    "entity, table",
+    [("nodes", "_NODE_FIELDS"), ("elements", "_ELEMENT_FIELDS"), ("supports", "_SUPPORT_FIELDS"),
+     ("loads", "_LOAD_FIELDS")],
+)
+def test_field_table_keys_are_the_written_and_documented_keys(entity, table):
+    fields = getattr(model_module, table)
+    written = json.loads(write_model(minimal_model()))[entity][0]
+    assert set(fields) == set(written)
+    schema = (DOCS / "schema.md").read_text()
+    documented = re.search(rf"^`{re.escape(entity)}\[i\]` — `\{{(.*?)\}}`", schema, re.MULTILINE | re.DOTALL)
+    assert set(fields) == set(re.findall(r'"(\w+)":', documented.group(1)))
