@@ -127,16 +127,21 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _read_reporting_warnings(read, *args):
+    """read(*args), each warning it raised printed as one 'warning: ...' line on stderr."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", UnknownFieldWarning)
+        result = read(*args)
+    for item in caught:
+        print(f"warning: {item.message}", file=sys.stderr)
+    return result
+
+
 def _load_model(path: str) -> TrussModel:
     p = Path(path)
     if not p.exists():
         raise FileNotFoundError(f"model file not found: {path}")
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", UnknownFieldWarning)
-        model = read_model(p.read_text())
-    for item in caught:
-        print(f"warning: {item.message}", file=sys.stderr)
-    return model
+    return _read_reporting_warnings(read_model, p.read_text())
 
 
 def _input_vectors(args):
@@ -253,7 +258,7 @@ def cmd_sweep(args) -> int:
     path = Path(args.params)
     if not path.exists():
         raise FileNotFoundError(f"params file not found: {args.params}")
-    params, bounds = _read_sweep_params(path)
+    params, bounds = _read_reporting_warnings(_read_sweep_params, path)
     samples = latin_hypercube(args.n, bounds, seed=args.seed)
     records = sweep(
         params,

@@ -4,8 +4,8 @@ The family is a square-on-square offset space truss: a top chord grid whose
 heights follow a smooth surface interpolated from a small control grid, a
 flat bottom chord grid at the cell centres one layer below, and diagonals
 from every bottom node to its four surrounding top nodes. Mirroring the
-control heights mirrors the generated structure exactly, which downstream
-symmetry checks rely on.
+control heights mirrors the plan exactly and the heights to a few ulps of
+the control values, which downstream symmetry checks rely on.
 
 The control-height surface stands in for a free-form roof parameterization:
 a handful of symmetric control values span a family of flat, domed and
@@ -77,23 +77,12 @@ class SweepRecord:
     status: str
 
 
+# Node ids of grid indices (i, j): Python ints, or integer arrays of indices.
 def top_node_id(params: GridTrussParams, i: int, j: int) -> int:
     return i * params.ny + j
 
 def bottom_node_id(params: GridTrussParams, i: int, j: int) -> int:
     return params.nx * params.ny + i * (params.ny - 1) + j
-
-
-def element_count(params: GridTrussParams) -> int:
-    """Element count of the connectivity rule.
-
-    Top chords ny(nx-1) + nx(ny-1), bottom chords (ny-1)(nx-2) + (nx-1)(ny-2),
-    plus four diagonals per bottom node.
-    """
-    nx, ny = params.nx, params.ny
-    top = ny * (nx - 1) + nx * (ny - 1)
-    bottom = (ny - 1) * (nx - 2) + (nx - 1) * (ny - 2)
-    return top + bottom + 4 * (nx - 1) * (ny - 1)
 
 
 def _hermite_1d(values, t: float) -> float:
@@ -143,64 +132,44 @@ def generate_grid_truss(params: GridTrussParams) -> TrussModel:
     bottom nodes sit one depth below the cell centres; every bottom node is
     tied to its four surrounding top nodes. A uniform downward load acts at
     each top node. The plan enclosure area is recorded on the model.
+
+    Element ids count up from 0 in this order: top chords along x, top chords
+    along y, bottom chords along x, bottom chords along y, then each bottom
+    node's four diagonals to top nodes (i, j), (i, j+1), (i+1, j), (i+1, j+1).
+    Within a group, elements follow their first end's grid in row-major order.
     """
     nx, ny, bay = params.nx, params.ny, params.bay
+    top = top_node_id(params, *np.indices((nx, ny)))
+    bottom = bottom_node_id(params, *np.indices((nx - 1, ny - 1)))
 
-    nodes = []
-    for i in range(nx):
-        for j in range(ny):
-            z = surface_height(params.control_heights, i / (nx - 1), j / (ny - 1))
-            nodes.append(TrussNode(top_node_id(params, i, j), Point3(i * bay, j * bay, z)))
-    for i in range(nx - 1):
-        for j in range(ny - 1):
-            nodes.append(
-                TrussNode(
-                    bottom_node_id(params, i, j),
-                    Point3((i + 0.5) * bay, (j + 0.5) * bay, -params.depth),
-                )
-            )
+    top_ids, control = top.ravel().tolist(), params.control_heights
+    nodes = [
+        TrussNode(nid, Point3(i * bay, j * bay, surface_height(control, i / (nx - 1), j / (ny - 1))))
+        for nid, (i, j) in zip(top_ids, np.ndindex(nx, ny))
+    ]
+    nodes += [
+        TrussNode(nid, Point3((i + 0.5) * bay, (j + 0.5) * bay, -params.depth))
+        for nid, (i, j) in zip(bottom.ravel().tolist(), np.ndindex(nx - 1, ny - 1))
+    ]
 
-    def make_element(eid: int, a: int, b: int) -> TrussElement:
-        return TrussElement(eid, a, b, params.initial_area, params.youngs_modulus)
-
-    elements = []
-    eid = 0
-    for i in range(nx - 1):
-        for j in range(ny):
-            elements.append(make_element(eid, top_node_id(params, i, j), top_node_id(params, i + 1, j)))
-            eid += 1
-    for i in range(nx):
-        for j in range(ny - 1):
-            elements.append(make_element(eid, top_node_id(params, i, j), top_node_id(params, i, j + 1)))
-            eid += 1
-    for i in range(nx - 2):
-        for j in range(ny - 1):
-            elements.append(make_element(eid, bottom_node_id(params, i, j), bottom_node_id(params, i + 1, j)))
-            eid += 1
-    for i in range(nx - 1):
-        for j in range(ny - 2):
-            elements.append(make_element(eid, bottom_node_id(params, i, j), bottom_node_id(params, i, j + 1)))
-            eid += 1
-    for i in range(nx - 1):
-        for j in range(ny - 1):
-            for di in (0, 1):
-                for dj in (0, 1):
-                    elements.append(
-                        make_element(eid, bottom_node_id(params, i, j), top_node_id(params, i + di, j + dj))
-                    )
-                    eid += 1
+    # (from, to) id grids of each element group, in element-id order.
+    around = np.stack([top[:-1, :-1], top[:-1, 1:], top[1:, :-1], top[1:, 1:]], -1)
+    groups = (
+        (top[:-1], top[1:]),
+        (top[:, :-1], top[:, 1:]),
+        (bottom[:-1], bottom[1:]),
+        (bottom[:, :-1], bottom[:, 1:]),
+        (np.repeat(bottom[..., None], 4, -1), around),
+    )
+    ends = np.concatenate([np.stack([a.ravel(), b.ravel()], -1) for a, b in groups]).tolist()
+    elements = [
+        TrussElement(eid, a, b, params.initial_area, params.youngs_modulus) for eid, (a, b) in enumerate(ends)
+    ]
 
     support_ids = params.supports if params.supports is not None else default_supports(params)
     supports = tuple(Support(node=nid, fixed=(True, True, True)) for nid in support_ids)
-    loads = tuple(
-        PointLoad(
-            node=top_node_id(params, i, j),
-            force=Point3(0.0, 0.0, -params.load_per_node),
-            load_case=params.load_case,
-        )
-        for i in range(nx)
-        for j in range(ny)
-    )
+    force = Point3(0.0, 0.0, -params.load_per_node)
+    loads = tuple(PointLoad(node=nid, force=force, load_case=params.load_case) for nid in top_ids)
 
     model = TrussModel(
         nodes=tuple(nodes),
@@ -230,19 +199,12 @@ def apply_control_sample(params: GridTrussParams, values) -> GridTrussParams:
     the remaining rows mirror them, so every sampled design is bilaterally
     symmetric about the plan's mid-x plane.
     """
-    m = len(params.control_heights)
-    n = len(params.control_heights[0])
-    half = (m + 1) // 2
-    values = [float(v) for v in values]
-    if len(values) != half * n:
-        raise ValueError(f"expected {half * n} control values, got {len(values)}")
-    rows = [[0.0] * n for _ in range(m)]
-    for r in range(half):
-        for c in range(n):
-            rows[r][c] = values[r * n + c]
-    for r in range(half, m):
-        rows[r] = list(rows[m - 1 - r])
-    return replace(params, control_heights=tuple(tuple(r) for r in rows))
+    m, n = len(params.control_heights), len(params.control_heights[0])
+    values, expected = [float(v) for v in values], free_control_cells(params)
+    if len(values) != expected:
+        raise ValueError(f"expected {expected} control values, got {len(values)}")
+    rows = [tuple(values[r : r + n]) for r in range(0, len(values), n)]
+    return replace(params, control_heights=tuple(rows + rows[: m - len(rows)][::-1]))
 
 
 def latin_hypercube(n: int, bounds, seed: int = 0) -> np.ndarray:

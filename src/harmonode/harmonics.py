@@ -194,18 +194,17 @@ def real_sph_harm(l: int, m: int, theta, phi):
     return out if out.shape else float(out)
 
 
-def build_grid(l_max: int, oversample: float = DEFAULT_OVERSAMPLE) -> QuadratureGrid:
+def build_grid(l_max: int) -> QuadratureGrid:
     """Build a grid able to expand up to l_max: n_theta >= 2(l_max+1), n_phi = 2 n_theta.
 
-    oversample >= 1 scales the node count; force functions are not band
-    limited, so the default leaves headroom above the exactness threshold.
+    Force functions are not band limited, so the node count is scaled by
+    DEFAULT_OVERSAMPLE for headroom above the exactness threshold; build a
+    QuadratureGrid directly for any other resolution.
     """
     if l_max < 0:
         raise ValueError(f"l_max must be non-negative, got {l_max}")
-    if oversample < 1.0:
-        raise ValueError(f"oversample must be >= 1, got {oversample}")
     base = 2 * (l_max + 1)
-    n_theta = max(base, math.ceil(oversample * base))
+    n_theta = max(base, math.ceil(DEFAULT_OVERSAMPLE * base))
     return QuadratureGrid(n_theta, 2 * n_theta)
 
 

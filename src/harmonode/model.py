@@ -271,9 +271,11 @@ def _warn_unknown(obj: dict, known, prefix: str = "", stacklevel: int = 3) -> No
 
 def _records(raw: dict, key: str, fields: dict, required: bool = False) -> list[list]:
     """Each object of the array raw[key] as its field values, in the order of fields."""
-    items = raw.get(key, None if required else [])
+    items = raw.get(key)  # An absent key and a null read alike.
     if items is None:
-        raise ModelFormatError(f"{key}: required array is missing")
+        if required:
+            raise ModelFormatError(f"{key}: required array is missing")
+        items = []
     if not isinstance(items, list):
         raise ModelFormatError(f"{key}: expected an array")
     records = []

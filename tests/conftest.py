@@ -1,5 +1,6 @@
 """Shared fixtures: benchmark models with closed-form solutions and helpers."""
 
+import math
 from pathlib import Path
 
 import numpy as np
@@ -76,6 +77,13 @@ def flat_benchmark_params(nx=7, ny=7):
     return GridTrussParams(
         nx=nx, ny=ny, bay=3.0, control_heights=((0.0, 0.0), (0.0, 0.0)), depth=1.0
     )
+
+
+def oversampled_grid(l_max: int, oversample: float) -> QuadratureGrid:
+    """The smallest grid for l_max, its node count scaled by oversample (at least 1)."""
+    base = 2 * (l_max + 1)
+    n_theta = max(base, math.ceil(oversample * base))
+    return QuadratureGrid(n_theta, 2 * n_theta)
 
 
 def grid_unit_vectors(grid: QuadratureGrid) -> np.ndarray:

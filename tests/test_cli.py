@@ -503,6 +503,22 @@ class TestSweepCommand:
         assert field in err and str(path) in err
 
 
+def test_unknown_fields_warn_alike_in_model_and_family_files(two_bar_path, family_path, tmp_path):
+    # In a child process, so Python's default warning display would show if a path bypassed the CLI's.
+    for command, path in (("analyze", two_bar_path), ("sweep", family_path)):
+        document = json.loads(path.read_text())
+        document["colour"] = 1
+        path.write_text(json.dumps(document))
+        result = subprocess.run(
+            [sys.executable, "-m", "harmonode.cli", command, str(path), "--out", str(tmp_path / command),
+             *(["--n", "1"] if command == "sweep" else [])],
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stderr == "warning: ignoring unknown field 'colour'\n"
+
+
 def test_console_entry_point(two_bar_path, tmp_path):
     result = subprocess.run(
         [sys.executable, "-m", "harmonode.cli", "analyze", str(two_bar_path),

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import random_demand, random_rotation, rotate_demand, sample_geodesic
+from conftest import oversampled_grid, random_demand, random_rotation, rotate_demand, sample_geodesic
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -227,7 +227,7 @@ amplitude_modes = st.sampled_from([AMPLITUDE_MAGNITUDE, AMPLITUDE_SIGNED])
 
 def oracle_energies(demand, delta, amplitude_mode, oversample):
     spec = ForceFunctionSpec(demand, delta=delta, amplitude_mode=amplitude_mode)
-    return frequency_energies(expand(sample_geodesic(spec, build_grid(16, oversample)), 16))
+    return frequency_energies(expand(sample_geodesic(spec, oversampled_grid(16, oversample)), 16))
 
 
 class TestGeodesicClosedForm:

@@ -13,7 +13,7 @@ from harmonode.generator import (
     GridTrussParams,
     apply_control_sample,
     bottom_node_id,
-    element_count,
+    default_supports,
     free_control_cells,
     generate_grid_truss,
     latin_hypercube,
@@ -21,7 +21,7 @@ from harmonode.generator import (
     sweep,
     top_node_id,
 )
-from harmonode.model import validate
+from harmonode.model import Point3, PointLoad, Support, TrussElement, TrussModel, TrussNode, validate, write_model
 
 
 def small_params(**overrides):
@@ -30,6 +30,76 @@ def small_params(**overrides):
     )
     base.update(overrides)
     return GridTrussParams(**base)
+
+
+def element_count(params: GridTrussParams) -> int:
+    """Element count of the connectivity rule.
+
+    Top chords ny(nx-1) + nx(ny-1), bottom chords (ny-1)(nx-2) + (nx-1)(ny-2),
+    plus four diagonals per bottom node.
+    """
+    nx, ny = params.nx, params.ny
+    top = ny * (nx - 1) + nx * (ny - 1)
+    bottom = (ny - 1) * (nx - 2) + (nx - 1) * (ny - 2)
+    return top + bottom + 4 * (nx - 1) * (ny - 1)
+
+
+def loop_built_model(params: GridTrussParams) -> TrussModel:
+    """The grid truss built node by node and element by element: the reference for the generator."""
+    nx, ny, bay = params.nx, params.ny, params.bay
+    nodes = []
+    for i in range(nx):
+        for j in range(ny):
+            z = surface_height(params.control_heights, i / (nx - 1), j / (ny - 1))
+            nodes.append(TrussNode(top_node_id(params, i, j), Point3(i * bay, j * bay, z)))
+    for i in range(nx - 1):
+        for j in range(ny - 1):
+            position = Point3((i + 0.5) * bay, (j + 0.5) * bay, -params.depth)
+            nodes.append(TrussNode(bottom_node_id(params, i, j), position))
+
+    ends = []
+    for i in range(nx - 1):
+        for j in range(ny):
+            ends.append((top_node_id(params, i, j), top_node_id(params, i + 1, j)))
+    for i in range(nx):
+        for j in range(ny - 1):
+            ends.append((top_node_id(params, i, j), top_node_id(params, i, j + 1)))
+    for i in range(nx - 2):
+        for j in range(ny - 1):
+            ends.append((bottom_node_id(params, i, j), bottom_node_id(params, i + 1, j)))
+    for i in range(nx - 1):
+        for j in range(ny - 2):
+            ends.append((bottom_node_id(params, i, j), bottom_node_id(params, i, j + 1)))
+    for i in range(nx - 1):
+        for j in range(ny - 1):
+            for di in (0, 1):
+                for dj in (0, 1):
+                    ends.append((bottom_node_id(params, i, j), top_node_id(params, i + di, j + dj)))
+    elements = [
+        TrussElement(eid, a, b, params.initial_area, params.youngs_modulus) for eid, (a, b) in enumerate(ends)
+    ]
+
+    support_ids = params.supports if params.supports is not None else default_supports(params)
+    loads = [
+        PointLoad(top_node_id(params, i, j), Point3(0.0, 0.0, -params.load_per_node), params.load_case)
+        for i in range(nx)
+        for j in range(ny)
+    ]
+    return TrussModel(
+        nodes=tuple(nodes),
+        elements=tuple(elements),
+        supports=tuple(Support(nid, (True, True, True)) for nid in support_ids),
+        loads=tuple(loads),
+        name=f"grid-truss-{nx}x{ny}",
+        enclosure_area=(nx - 1) * (ny - 1) * bay * bay,
+    )
+
+
+def random_design(rng, nx, ny):
+    """A mirrored design on an nx x ny plan, from a random control grid of random shape."""
+    rows, columns = int(rng.integers(1, 6)), int(rng.integers(1, 4))
+    params = small_params(nx=nx, ny=ny, control_heights=((0.0,) * columns,) * rows)
+    return apply_control_sample(params, rng.uniform(-1.0, 2.0, free_control_cells(params)))
 
 
 class TestGenerateGridTruss:
@@ -44,6 +114,15 @@ class TestGenerateGridTruss:
     def test_count_formula(self, nx, ny):
         params = small_params(nx=nx, ny=ny)
         assert len(generate_grid_truss(params).elements) == element_count(params)
+
+    @pytest.mark.parametrize("nx,ny", [(2, 2), (2, 5), (3, 4), (5, 3), (7, 7), (25, 25)])
+    def test_written_model_matches_the_loop_built_reference(self, nx, ny):
+        rng = np.random.default_rng(nx * 100 + ny)
+        for _ in range(3):
+            design = random_design(rng, nx, ny)
+            model = generate_grid_truss(design)
+            assert write_model(model) == write_model(loop_built_model(design))
+            assert len(model.elements) == element_count(design)
 
     def test_generated_models_validate(self):
         rng = np.random.default_rng(149)
@@ -96,6 +175,23 @@ class TestGenerateGridTruss:
     def test_flat_benchmark_solves(self, flat_model):
         result = solve(flat_model)
         assert max(abs(f) for f in result.axial_forces.values()) > 0
+
+
+@pytest.mark.parametrize("nx,ny", [(2, 3), (5, 4), (7, 7), (12, 5)])
+def test_mirrored_controls_mirror_the_top_grid(nx, ny):
+    # The control rows mirror bit for bit and the plan mirrors exactly. The
+    # interpolated heights at mirror twins are not bit-equal: evaluated at u
+    # and 1 - u they can part by a few ulps of the control values.
+    rng = np.random.default_rng(nx * 10 + ny)
+    for _ in range(10):
+        design = random_design(rng, nx, ny)
+        assert design.control_heights == design.control_heights[::-1]
+        top = np.array([n.position.as_tuple() for n in generate_grid_truss(design).nodes[: nx * ny]])
+        x, y, z = top.reshape(nx, ny, 3).transpose(2, 0, 1)
+        assert np.array_equal(x + x[::-1], np.full_like(x, (nx - 1) * design.bay))
+        assert np.array_equal(y, y[::-1])
+        scale = np.abs(design.control_heights).max()
+        assert np.abs(z - z[::-1]).max() <= 8 * np.finfo(float).eps * scale
 
 
 class TestSurfaceHeight:

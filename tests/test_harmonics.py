@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import oversampled_grid
 from numpy.polynomial import polynomial as npoly
 
 from harmonode.harmonics import (
@@ -102,9 +103,10 @@ class TestHarmonicExpansion:
 
 class TestBuildGrid:
     def test_minimal_rule(self):
-        grid = build_grid(16, oversample=1.0)
-        assert grid.n_theta == 34
-        assert grid.n_phi == 68
+        for l_max in (0, 3, 16, 24):
+            grid = build_grid(l_max)
+            assert grid.n_theta >= 2 * (l_max + 1)
+            assert grid.n_phi == 2 * grid.n_theta
 
     def test_default_oversample(self):
         grid = build_grid(16)
@@ -119,8 +121,6 @@ class TestBuildGrid:
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
             build_grid(-1)
-        with pytest.raises(ValueError):
-            build_grid(4, oversample=0.5)
 
 
 class TestExpand:
@@ -144,7 +144,7 @@ class TestExpand:
         assert np.abs(rest).max() <= 1e-10
 
     def test_grid_too_coarse_rejected(self):
-        grid = build_grid(4, oversample=1.0)  # n_theta = 10
+        grid = oversampled_grid(4, 1.0)  # n_theta = 10
         samples = SphericalSamples(grid, np.ones((grid.n_theta, grid.n_phi)))
         with pytest.raises(ValueError, match="too coarse"):
             expand(samples, 8)
@@ -307,7 +307,7 @@ class TestInvariants:
 
         rng = np.random.default_rng(29)
         l_max = 5
-        grid = build_grid(l_max, oversample=2.0)
+        grid = oversampled_grid(l_max, 2.0)
         coeffs = rng.normal(size=(l_max + 1) ** 2)
         base = HarmonicExpansion(l_max=l_max, coefficients=coeffs)
         reference = frequency_energies(base)

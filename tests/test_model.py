@@ -305,7 +305,7 @@ MALFORMED = [
     (edited((("elements",), _DROP)), "elements: required array is missing"),
     (edited((("elements",), "none")), "elements: expected an array"),
     (edited((("supports",), 3)), "supports: expected an array"),
-    (edited((("supports",), None)), "supports: required array is missing"),
+    (edited((("elements",), None)), "elements: required array is missing"),
     (edited((("loads",), {"node": 1})), "loads: expected an array"),
     (edited((("nodes", 0), 5)), "nodes[0]: expected a JSON object"),
     (edited((("nodes", 0, "x"), _DROP)), "nodes[0].x: required number is missing"),
@@ -356,6 +356,13 @@ def test_malformed_document_reports_its_first_error(document, message):
     with pytest.raises(ModelFormatError) as excinfo:
         read_model(document)
     assert str(excinfo.value) == message
+
+
+@pytest.mark.parametrize("key", ["supports", "loads"])
+def test_null_optional_array_reads_as_absent(key):
+    # docs/schema.md: both arrays are optional; an explicit null is no array at all.
+    assert read_model(edited(((key,), None))) == read_model(edited(((key,), _DROP)))
+    assert getattr(read_model(edited(((key,), None))), key) == ()
 
 
 def test_unknown_field_warnings_point_at_the_caller():
