@@ -51,8 +51,6 @@ from .harmonics import (
     build_grid,
     expand,
     frequency_energies,
-    real_sph_harm,
-    reconstruct,
     truncation_error,
 )
 from .model import (

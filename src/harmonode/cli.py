@@ -141,7 +141,10 @@ def _load_model(path: str) -> TrussModel:
     p = Path(path)
     if not p.exists():
         raise FileNotFoundError(f"model file not found: {path}")
-    return _read_reporting_warnings(read_model, p.read_text())
+    try:
+        return _read_reporting_warnings(read_model, p.read_bytes())
+    except ModelFormatError as exc:
+        raise ModelFormatError(f"{path}: {exc}") from exc
 
 
 def _input_vectors(args):
@@ -285,56 +288,23 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def _finite(value) -> float:
-    if not is_finite_number(value):
-        raise ValueError(f"{value!r} is not a finite number")
-    return float(value)
-
-
-def _integral(value) -> int:
-    """An integer from an integral number; 4.9 is refused, not truncated."""
-    if not is_finite_number(value) or int(value) != value:
-        raise ValueError(f"{value!r} is not an integer")
-    return int(value)
-
-
-def _string(value) -> str:
-    if not isinstance(value, str):
-        raise ValueError(f"{value!r} is not a string")
-    return value
-
-
-# How a family file's JSON value becomes a GridTrussParams field, keyed by the
-# field's annotation.
-_FIELD_COERCIONS = {
-    "int": _integral,
-    "float": _finite,
-    "str": _string,
-    "tuple[tuple[float, ...], ...]": lambda rows: tuple(tuple(_finite(v) for v in row) for row in rows),
-    "tuple[int, ...] | None": lambda ids: tuple(_integral(v) for v in ids),
-}
-
-
 def _read_sweep_params(path: Path) -> tuple[GridTrussParams, tuple]:
+    """The family and bounds of a family file; GridTrussParams checks the family's values."""
     try:
-        raw = json.loads(path.read_text())
+        raw = json.loads(path.read_bytes().decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ModelFormatError(f"{path}: document is not UTF-8: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ModelFormatError(f"{path}: invalid JSON: {exc.msg} (offset {exc.pos})") from exc
     if not isinstance(raw, dict):
         raise ModelFormatError(f"{path}: top level must be a JSON object")
-    coercions = {f.name: _FIELD_COERCIONS[f.type] for f in dataclasses.fields(GridTrussParams)}
-    _warn_unknown(raw, {*coercions, "bounds"})
-    values = {}
-    for name, coerce in coercions.items():
-        if name in raw:
-            try:
-                values[name] = coerce(raw[name])
-            except (TypeError, ValueError, OverflowError) as exc:
-                raise ModelFormatError(f"{path}: field {name!r}: malformed value {raw[name]!r}") from exc
+    fields = dataclasses.fields(GridTrussParams)
+    _warn_unknown(raw, {*(f.name for f in fields), "bounds"})
+    for f in fields:
+        if f.default is dataclasses.MISSING and f.name not in raw:
+            raise ModelFormatError(f"{path}: field {f.name!r}: required field is missing")
     try:
-        params = GridTrussParams(**values)
-    except TypeError as exc:
-        raise ModelFormatError(f"{path}: missing or malformed field: {exc}") from exc
+        params = GridTrussParams(**{f.name: raw[f.name] for f in fields if f.name in raw})
     except ValueError as exc:
         raise ModelFormatError(f"{path}: {exc}") from exc
 

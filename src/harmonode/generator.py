@@ -25,7 +25,7 @@ from .analysis import complexity_score
 from .exports import fmt_float, write_csv, write_feature_vectors_csv
 from .fea import SingularStructureError, extract_demands, size_members, solve
 from .harmonics import DEFAULT_L_MAX
-from .model import Point3, PointLoad, Support, TrussElement, TrussModel, TrussNode, validate
+from .model import Point3, PointLoad, Support, TrussElement, TrussModel, TrussNode, is_finite_number, validate
 
 DEFAULT_LOAD_CASE = "gravity"
 
@@ -52,6 +52,30 @@ class GridTrussParams:
     youngs_modulus: float = 200e9
 
     def __post_init__(self):
+        # The one check of a family's values. Each field is stored normalized
+        # (frozen, hence object.__setattr__), so replace() re-checks to the same values.
+        def normalize(name, ok, kind, convert):
+            value = getattr(self, name)
+            if not ok(value):
+                raise ValueError(f"field {name!r}: expected {kind}, got {value!r}")
+            object.__setattr__(self, name, convert(value))
+
+        def is_integral(value):  # 4.0 reads as 4; 4.9 is refused, not truncated.
+            return is_finite_number(value) and int(value) == value
+
+        def array_of(ok):
+            return lambda value: isinstance(value, (list, tuple)) and all(map(ok, value))
+
+        for name in ("nx", "ny"):
+            normalize(name, is_integral, "an integer", int)
+        for name in ("bay", "depth", "load_per_node", "initial_area", "youngs_modulus"):
+            normalize(name, is_finite_number, "a finite number", float)
+        normalize("load_case", lambda case: isinstance(case, str), "a string", str)
+        normalize("control_heights", array_of(array_of(is_finite_number)), "a grid of finite numbers",
+                  lambda rows: tuple(tuple(map(float, row)) for row in rows))
+        if self.supports is not None:
+            normalize("supports", array_of(is_integral), "a list of node ids", lambda ids: tuple(map(int, ids)))
+
         if self.nx < 2 or self.ny < 2:
             raise ValueError(f"grid counts must be at least 2, got {self.nx}x{self.ny}")
         if not self.bay > 0:
@@ -65,6 +89,11 @@ class GridTrussParams:
             raise ValueError("explicit support list must be non-empty")
         if not self.initial_area > 0 or not self.youngs_modulus > 0:
             raise ValueError("section defaults must be positive")
+        n_nodes = self.nx * self.ny + (self.nx - 1) * (self.ny - 1)
+        for node in self.supports or ():
+            if not 0 <= node < n_nodes:
+                grid = f"{self.nx}x{self.ny} grid (ids 0 to {n_nodes - 1})"
+                raise ValueError(f"field 'supports': node {node} is not a node of the {grid}")
 
 
 @dataclass(frozen=True)

@@ -182,18 +182,6 @@ def _grid_trig_table(n_phi: int, l_max: int) -> tuple[np.ndarray, np.ndarray]:
     return cos_t, sin_t
 
 
-def real_sph_harm(l: int, m: int, theta, phi):
-    """Evaluate the orthonormal real spherical harmonic of degree l, order m.
-
-    theta is the polar angle from +z in [0, pi]; phi the azimuth from +x.
-    Accepts scalars or broadcastable arrays.
-    """
-    if l < 0 or abs(m) > l:
-        raise ValueError(f"order must satisfy |m| <= l with l >= 0, got (l={l}, m={m})")
-    out = _harmonics(l, theta, phi)[..., l * l + l + m]
-    return out if out.shape else float(out)
-
-
 def build_grid(l_max: int) -> QuadratureGrid:
     """Build a grid able to expand up to l_max: n_theta >= 2(l_max+1), n_phi = 2 n_theta.
 
@@ -234,12 +222,6 @@ def expand(samples: SphericalSamples, l_max: int) -> HarmonicExpansion:
     order = np.abs(m)
     coeffs = scale * np.where(m < 0, a_sin[l, order], a_cos[l, order])
     return HarmonicExpansion(l_max=l_max, coefficients=coeffs)
-
-
-def reconstruct(expansion: HarmonicExpansion, theta, phi):
-    """Evaluate the truncated series sum_l sum_m a_lm Y_lm at (theta, phi)."""
-    out = _harmonics(expansion.l_max, theta, phi) @ expansion.coefficients
-    return out if out.shape else float(out)
 
 
 def reconstruct_on_grid(expansion: HarmonicExpansion, grid: QuadratureGrid) -> np.ndarray:

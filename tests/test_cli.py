@@ -41,6 +41,8 @@ def family_path(tmp_path):
     return path
 
 
+FAMILY_4X4 = {"nx": 4, "ny": 4, "bay": 2.0, "depth": 1.0, "control_heights": [[0.0, 0.0], [0.0, 0.0]]}
+
 SIGNATURE_FLAGS = [
     ["--delta", "5"], ["--lmax", "8"], ["--kernel", "coordinate"], ["--amplitude", "signed"],
     ["--include-loads"], ["--include-reactions"],
@@ -94,6 +96,18 @@ class TestAnalyze:
         bad.write_text("{ not json")
         assert main(["analyze", str(bad), "--out", str(tmp_path)]) == 1
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["analyze", "descriptors"])
+    def test_model_error_names_the_file(self, example_model_path, tmp_path, capsys, command):
+        document = json.loads(example_model_path.read_text())
+        document["nodes"][0]["x"] = "zero"
+        bad = tmp_path / "bad.truss.json"
+        bad.write_text(json.dumps(document))
+        assert main([command, str(bad), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"error: {bad}: nodes[0].x: expected a number\n"
+        bad.write_bytes(b"\xff{}")
+        assert main([command, str(bad), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {bad}: document is not UTF-8: ")
 
     def test_load_case_selection(self, tmp_path):
         from harmonode.model import Point3, PointLoad, TrussModel
@@ -501,6 +515,45 @@ class TestSweepCommand:
         assert main(["sweep", str(path), "--n", "2", "--out", str(tmp_path / "x")]) == 1
         err = capsys.readouterr().err
         assert field in err and str(path) in err
+
+
+    def sweep_family(self, tmp_path, name, family):
+        """Exit code of `sweep --n 2 --seed 0` on the family, and the family file's path."""
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(family))
+        code = main(["sweep", str(path), "--n", "2", "--seed", "0", "--out", str(tmp_path / name)])
+        return code, path
+
+    def test_missing_required_field_named(self, tmp_path, capsys):
+        family = {k: v for k, v in FAMILY_4X4.items() if k != "depth"}
+        code, path = self.sweep_family(tmp_path, "no-depth", family)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {path}: field 'depth': required field is missing\n"
+        assert "__init__()" not in err
+
+    def test_null_supports_read_as_absent(self, tmp_path):
+        assert self.sweep_family(tmp_path, "null", {**FAMILY_4X4, "supports": None})[0] == 0
+        assert self.sweep_family(tmp_path, "absent", FAMILY_4X4)[0] == 0
+        assert (tmp_path / "null" / "sweep.csv").read_bytes() == (tmp_path / "absent" / "sweep.csv").read_bytes()
+
+    def test_support_outside_the_grid_refused_when_read(self, tmp_path, capsys):
+        code, path = self.sweep_family(tmp_path, "s999", {**FAMILY_4X4, "supports": [999]})
+        assert code == 1
+        err = capsys.readouterr().err
+        assert str(path) in err and "field 'supports'" in err and "999" in err
+        assert not (tmp_path / "s999" / "sweep.csv").exists()
+
+    def test_undecodable_family_file_named(self, tmp_path, capsys):
+        path = tmp_path / "family.json"
+        path.write_bytes(b"\xff{}")
+        assert main(["sweep", str(path), "--n", "2", "--out", str(tmp_path / "x")]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {path}: document is not UTF-8: ")
+
+    def test_integral_float_count_sweeps_like_an_int(self, tmp_path):
+        assert self.sweep_family(tmp_path, "int", {**FAMILY_4X4, "nx": 4})[0] == 0
+        assert self.sweep_family(tmp_path, "float", {**FAMILY_4X4, "nx": 4.0})[0] == 0
+        assert (tmp_path / "int" / "sweep.csv").read_bytes() == (tmp_path / "float" / "sweep.csv").read_bytes()
 
 
 def test_unknown_fields_warn_alike_in_model_and_family_files(two_bar_path, family_path, tmp_path):

@@ -172,6 +172,29 @@ class TestGenerateGridTruss:
         with pytest.raises(ValueError):
             small_params(control_heights=((0.0, 0.1), (0.2,)))
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("nx", 4.9), ("ny", True), ("bay", "2"), ("depth", None), ("load_per_node", float("inf")),
+         ("load_case", None), ("control_heights", ((0.0, "0"), (0.0, 0.0))), ("control_heights", 3.0),
+         ("supports", (999,)), ("supports", (-1,)), ("supports", (16.5,)), ("supports", 16)],
+        ids=["nx-fractional", "ny-bool", "bay-string", "depth-null", "load_per_node-infinite", "load_case-null",
+             "control_heights-string", "control_heights-number", "supports-beyond-grid", "supports-negative",
+             "supports-fractional", "supports-number"],
+    )
+    def test_malformed_value_raises_value_error_naming_the_field(self, field, value):
+        with pytest.raises(ValueError, match=f"^field '{field}': "):
+            small_params(**{field: value})
+
+    def test_values_are_stored_normalized_and_replace_keeps_them(self):
+        params = small_params(
+            nx=4.0, bay=2, control_heights=[[0, 0.4], [0.2, 0.8]], supports=[16.0, 24], load_per_node=20000
+        )
+        assert params == small_params(supports=(16, 24), load_per_node=20e3)
+        assert type(params.nx) is int and type(params.bay) is float
+        assert all(type(v) is float for row in params.control_heights for v in row)
+        assert replace(params) == params
+        assert small_params(supports=None).supports is None
+
     def test_flat_benchmark_solves(self, flat_model):
         result = solve(flat_model)
         assert max(abs(f) for f in result.axial_forces.values()) > 0
