@@ -60,9 +60,10 @@ def read_feature_vectors_csv(path: Path) -> list[FeatureVector]:
     The header is node_id and at least one component column. Every row has
     the header's length, an integer or blank node id and finite numbers. A
     blank id stands for the row's position, counted from 0 as in
-    analysis._as_points, and no node id appears twice.
+    analysis._as_points, and no node id appears twice. The file is UTF-8.
     """
-    with open(path, newline="") as handle:
+    _require_utf8(path)
+    with open(path, encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle)
         header = next(reader, None)
         if not header or header[0] != "node_id":
@@ -85,6 +86,16 @@ def read_feature_vectors_csv(path: Path) -> list[FeatureVector]:
     if not vectors:
         raise ValueError(f"{path}: contains no feature vectors")
     return vectors
+
+
+def _require_utf8(path: Path) -> None:
+    """Raise ValueError naming the line of the first byte of path that is not UTF-8."""
+    data = Path(path).read_bytes()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ValueError(f"{path}, line {line}: not UTF-8: {exc}") from exc
 
 
 def write_expansion_csv(path: Path, expansion: HarmonicExpansion) -> None:

@@ -8,18 +8,24 @@ Cuthill-McKee node order (each node's three DOFs adjacent), which makes the
 free-DOF stiffness block tridiagonal for blocks of b = max(half-bandwidth,
 _SOLVE_BLOCK) rows; it stores only the diagonal and sub-diagonal blocks,
 about 2 * n_free * b doubles (8.4 MB for the 25x25 study design), and
-factors them by a block Cholesky. Equilibrium residual and reactions are
+factors them by a block Cholesky. That order and the scatter index of the
+assembly depend only on the member ends and the fixed DOFs, so they are
+built once per topology (_band_pattern) and shared by every sizing pass and
+every design of a sweep family. Equilibrium residual and reactions are
 summed member by member, so no dense stiffness matrix is formed on any
 path. The band factor's own pivots are the singularity test: the first
 pivot at or below _PIVOT_RTOL (1e-8) times the largest stiffness diagonal
 marks a mechanism, and its DOF, which moves in that mechanism mode, is
-named.
+named. Sizing makes two plain passes, then mixes passes by Anderson
+acceleration on log-areas; it returns the strength sizes of its last solve.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,6 +42,8 @@ STEEL_YIELD_STRESS = 345e6
 SAFETY_FACTOR = 1.67
 MIN_AREA = 400e-6
 _SIZING_RTOL = 1e-3
+# From the third pass, sizing mixes the last _ANDERSON_MEMORY + 1 passes.
+_ANDERSON_MEMORY = 3
 
 _AXES = ("x", "y", "z")
 # A band pivot at or below this share of the largest stiffness diagonal marks
@@ -167,7 +175,7 @@ def solve(model: TrussModel, load_case: str | None = None) -> AnalysisResult:
 
     u = np.zeros(n_dof)
     if free.size:
-        u[free] = _free_displacements(blocks, dofs, ends, fixed, f, node_ids)
+        u[free] = _free_displacements(blocks, ends, fixed, f, node_ids)
 
     nodal = u.reshape(-1, 3)
     relative = nodal[ends[:, 1]] - nodal[ends[:, 0]]
@@ -198,16 +206,12 @@ def solve(model: TrussModel, load_case: str | None = None) -> AnalysisResult:
     )
 
 
-def _free_displacements(blocks, dofs, ends, fixed, f, node_ids) -> np.ndarray:
+def _free_displacements(blocks, ends, fixed, f, node_ids) -> np.ndarray:
     """u at the free DOFs, in DOF order, from the band factor in RCM order;
     SingularStructureError names the DOF of a vanishing band pivot."""
-    order = _rcm_free_dofs(ends, fixed)
-    n = order.size
-    rank = np.full(fixed.size, -1)
-    rank[order] = np.arange(n)
-    rows = rank[dofs]
-    half_bandwidth = int((rows.max(axis=1) - np.where(rows >= 0, rows, n).min(axis=1)).max(initial=0))
-    diag, sub = _block_tridiagonal(blocks, rows, n, min(n, max(half_bandwidth, _SOLVE_BLOCK)))
+    pattern = _band_pattern(ends.tobytes(), fixed.tobytes())
+    order, n = pattern.order, pattern.order.size
+    diag, sub = _block_tridiagonal(blocks, pattern)
     largest = float(np.diagonal(diag, axis1=1, axis2=2).ravel()[:n].max(initial=0.0))
     vanishing = _block_cholesky(diag, sub, n, _PIVOT_RTOL * largest)
     if vanishing is not None:
@@ -217,6 +221,41 @@ def _free_displacements(blocks, dofs, ends, fixed, f, node_ids) -> np.ndarray:
     u = np.empty(fixed.size)
     u[order] = _block_solve(diag, sub, f[order])
     return u[~fixed]
+
+
+class _BandPattern(NamedTuple):
+    """Where the entries of (m, k, k) blocks land in block-tridiagonal
+    storage of nb blocks of b rows: keep selects the retained entries and
+    flat gives their index into the flattened storage. order lists the free
+    DOFs in storage order, and pad the rows of the last diagonal block past
+    the matrix, set to identity. Every array is read-only."""
+
+    order: np.ndarray
+    b: int
+    nb: int
+    keep: np.ndarray
+    flat: np.ndarray
+    pad: np.ndarray
+
+
+@lru_cache(maxsize=8)
+def _band_pattern(ends: bytes, fixed: bytes) -> _BandPattern:
+    """The band pattern of a topology: member end rows (m, 2) and the fixed
+    DOF mask, each as its array's bytes. It depends on nothing else, so every
+    sizing pass, and every design of a sweep family, shares one.
+
+    Storage order is reverse Cuthill-McKee, and blocks have
+    b = max(half-bandwidth, _SOLVE_BLOCK) rows, at most the free DOF count.
+    """
+    ends = np.frombuffer(ends, dtype=int).reshape(-1, 2)
+    fixed = np.frombuffer(fixed, dtype=bool)
+    order = _rcm_free_dofs(ends, fixed)
+    n = order.size
+    rank = np.full(fixed.size, -1)
+    rank[order] = np.arange(n)
+    rows = rank[3 * ends[:, :, None] + np.arange(3)].reshape(-1, 6)
+    half_bandwidth = int((rows.max(axis=1) - np.where(rows >= 0, rows, n).min(axis=1)).max(initial=0))
+    return _band_layout(order, rows, min(n, max(half_bandwidth, _SOLVE_BLOCK)))
 
 
 def _rcm_free_dofs(ends: np.ndarray, fixed: np.ndarray) -> np.ndarray:
@@ -254,26 +293,38 @@ def _rcm_free_dofs(ends: np.ndarray, fixed: np.ndarray) -> np.ndarray:
     return node_dofs[~fixed[node_dofs]]
 
 
-def _block_tridiagonal(values: np.ndarray, rows: np.ndarray, n: int, b: int):
-    """Sum square blocks into block-tridiagonal storage of an n x n matrix.
-
-    values (m, k, k) adds at rows (m, k) x rows (m, k); a negative row is
-    dropped. Every retained pair must lie within b of the diagonal. Returns
-    views of one array: the diagonal blocks (nb, b, b), stored in full, and
-    the sub-diagonal blocks (nb - 1, b, b), block k holding rows of block
-    k + 1 against columns of block k. Rows past n pad the last diagonal block
-    with an identity. One np.add.at in block order keeps every entry's sum
-    order, so a single block (b = n) reproduces a dense assembly bit for bit.
-    """
+def _band_layout(order: np.ndarray, rows: np.ndarray, b: int) -> _BandPattern:
+    """The pattern of square blocks at rows (m, k) x rows (m, k) of an
+    n x n matrix, n = order.size, in block-tridiagonal storage of b-row
+    blocks. A negative row is dropped; every retained pair must lie within b
+    of the diagonal."""
+    n = order.size
     nb = -(-n // b)
     r, c = np.broadcast_arrays(rows[:, :, None], rows[:, None, :])
     keep = (r >= 0) & (c >= 0) & (r // b >= c // b)
     r, c = r[keep], c[keep]
     block = np.where(r // b == c // b, r // b, nb + c // b)
-    storage = np.zeros((2 * nb - 1, b, b))
-    np.add.at(storage.reshape(-1), (block * b + r % b) * b + c % b, values[keep])
+    flat = (block * b + r % b) * b + c % b
     pad = np.arange(n - (nb - 1) * b, b)
-    storage[nb - 1, pad, pad] = 1.0
+    for array in (order, keep, flat, pad):
+        array.setflags(write=False)
+    return _BandPattern(order, b, nb, keep, flat, pad)
+
+
+def _block_tridiagonal(values: np.ndarray, pattern: _BandPattern):
+    """Sum square blocks values (m, k, k) into block-tridiagonal storage.
+
+    Returns views of one array: the diagonal blocks (nb, b, b), stored in
+    full, and the sub-diagonal blocks (nb - 1, b, b), block k holding rows of
+    block k + 1 against columns of block k. Rows past n pad the last diagonal
+    block with an identity. One np.bincount adds every entry in block order
+    from 0.0, as np.add.at does, so a single block (b = n) reproduces a dense
+    assembly bit for bit.
+    """
+    b, nb = pattern.b, pattern.nb
+    storage = np.bincount(pattern.flat, weights=values[pattern.keep], minlength=(2 * nb - 1) * b * b)
+    storage = storage.reshape(2 * nb - 1, b, b)
+    storage[nb - 1, pattern.pad, pattern.pad] = 1.0
     return storage[:nb], storage[nb:]
 
 
@@ -422,41 +473,61 @@ def model_mass(model: TrussModel) -> float:
 def size_members(model: TrussModel, max_iter: int = 20, load_case: str | None = None) -> SizingResult:
     """Strength-size every member, re-solving until areas stop changing.
 
-    Each pass solves the current model and sets each area to
+    Each pass solves a model and takes each member's strength size
     max(MIN_AREA, |N| * SAFETY_FACTOR / STEEL_YIELD_STRESS); stiffness
-    redistribution changes the forces, so passes repeat until the largest
-    relative area change is at or below _SIZING_RTOL or max_iter is reached.
-    For a statically determinate truss the forces never change, so the loop
-    converges in at most two passes.
+    redistribution changes the forces, so passes repeat until no strength
+    size differs from the area it was solved with by more than _SIZING_RTOL
+    relative, or max_iter is reached. Passes 1 and 2 solve the input areas,
+    then the first strength sizes. From pass 3 the areas solved are an
+    Anderson mix of the last _ANDERSON_MEMORY + 1 passes on log-areas
+    (Walker & Ni, SIAM J. Numer. Anal. 2011), or the last strength sizes
+    when the mix holds a non-finite or zero area. For a statically
+    determinate truss the forces never change, so the loop converges in at
+    most two passes, before any mixing.
 
+    The returned areas are the strength sizes of the last pass, never a mix.
     Non-convergence is reported through the converged flag, not an error.
     """
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     current = model
     areas = np.array([el.area for el in model.elements])
+    log_areas = np.log(areas)
+    history: list[tuple[np.ndarray, np.ndarray]] = []  # (log sizes g, g - log areas) per pass
     for iterations in range(1, max_iter + 1):
         axial = solve(current, load_case).axial_forces
         forces = np.array([axial[el.id] for el in current.elements])
-        new_areas = np.maximum(MIN_AREA, np.abs(forces) * SAFETY_FACTOR / STEEL_YIELD_STRESS)
-        worst_change = float((np.abs(new_areas - areas) / areas).max(initial=0.0))
-        areas = new_areas
-        elements = tuple(
-            TrussElement(el.id, el.start, el.end, a, el.youngs_modulus)
-            for el, a in zip(current.elements, areas.tolist())
-        )
-        current = replace(current, elements=elements)
-        converged = worst_change <= _SIZING_RTOL
-        if converged:
+        sizes = np.maximum(MIN_AREA, np.abs(forces) * SAFETY_FACTOR / STEEL_YIELD_STRESS)
+        converged = float((np.abs(sizes - areas) / areas).max(initial=0.0)) <= _SIZING_RTOL
+        if converged or iterations == max_iter:
             break
-    total_mass = model_mass(current)
-    mass_per_area = (
-        total_mass / current.enclosure_area if current.enclosure_area is not None else None
-    )
+        log_sizes = np.log(sizes)
+        history = history[-_ANDERSON_MEMORY:] + [(log_sizes, log_sizes - log_areas)]
+        areas, log_areas = sizes, log_sizes
+        if len(history) > 1:
+            g, f = (np.array(column) for column in zip(*history))
+            gamma = np.linalg.lstsq(np.diff(f, axis=0).T, f[-1], rcond=None)[0]
+            mixed = g[-1] - np.diff(g, axis=0).T @ gamma
+            with np.errstate(over="ignore"):
+                mixed_areas = np.exp(mixed)
+            if ((0.0 < mixed_areas) & (mixed_areas < np.inf)).all():
+                areas, log_areas = mixed_areas, mixed
+        current = _with_areas(current, areas)
+    sized = _with_areas(current, sizes)
+    total_mass = model_mass(sized)
+    mass_per_area = total_mass / sized.enclosure_area if sized.enclosure_area is not None else None
     return SizingResult(
-        model=current,
+        model=sized,
         total_mass=total_mass,
         iterations=iterations,
         converged=converged,
         mass_per_area=mass_per_area,
     )
+
+
+def _with_areas(model: TrussModel, areas: np.ndarray) -> TrussModel:
+    elements = tuple(
+        TrussElement(el.id, el.start, el.end, a, el.youngs_modulus)
+        for el, a in zip(model.elements, areas.tolist())
+    )
+    return replace(model, elements=elements)

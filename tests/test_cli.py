@@ -1,5 +1,6 @@
 import csv
 import json
+import os
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -41,6 +42,12 @@ def family_path(tmp_path):
     return path
 
 
+README_FAMILY = {
+    "nx": 7, "ny": 7, "bay": 3.0, "depth": 1.0,
+    "control_heights": [[0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]],
+    "load_per_node": 20000.0,
+    "bounds": [0.0, 2.0],
+}
 FAMILY_4X4 = {"nx": 4, "ny": 4, "bay": 2.0, "depth": 1.0, "control_heights": [[0.0, 0.0], [0.0, 0.0]]}
 
 SIGNATURE_FLAGS = [
@@ -309,6 +316,20 @@ class TestDownstreamCommands:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {bad}, line {line}: ") and message in err
 
+    def test_non_utf8_feature_csv_names_the_line(self, tmp_path):
+        # In a child process, as a user meets it: one error line, exit 1.
+        bad = tmp_path / "feature_vectors.csv"
+        bad.write_bytes(b"node_id,fv_0,fv_1\n1,1.\xff0,2.0\n2,4.0,5.0\n")
+        result = subprocess.run(
+            [sys.executable, "-m", "harmonode.cli", "complexity", str(bad), "--out", str(tmp_path)],
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert result.returncode == 1
+        assert result.stderr.startswith(f"error: {bad}, line 2: not UTF-8: ")
+        assert len(result.stderr.splitlines()) == 1
+
     def test_model_input_is_refused(self, example_model_path, tmp_path, capsys):
         assert main(["cluster", str(example_model_path), "--out", str(tmp_path)]) == 1
         err = capsys.readouterr().err
@@ -439,6 +460,28 @@ class TestSweepCommand:
         assert all(r["solver_status"] == "ok" for r in rows)
         assert (out_a / "sweep.csv").read_bytes() == (out_b / "sweep.csv").read_bytes()
         assert_valid_svg(out_a / "biobjective.svg")
+
+    def test_readme_family_sweep_independent_of_blas_threads(self, tmp_path):
+        # Sizing mixes its passes by a LAPACK least-squares solve; no product
+        # may depend on the BLAS thread count.
+        family = tmp_path / "family.json"
+        family.write_text(json.dumps(README_FAMILY))
+        products = {}
+        for threads in ("1", "2"):
+            out = tmp_path / threads
+            result = subprocess.run(
+                [sys.executable, "-m", "harmonode.cli", "sweep", str(family), "--n", "4", "--seed", "0",
+                 "--out", str(out)],
+                capture_output=True,
+                text=True,
+                env={**os.environ, "OPENBLAS_NUM_THREADS": threads},
+                timeout=300,
+            )
+            assert result.returncode == 0, result.stderr
+            products[threads] = {path.name: path.read_bytes() for path in out.iterdir()}
+        assert all(r["solver_status"] == "ok" for r in read_csv(tmp_path / "1" / "sweep.csv"))
+        assert len(products["1"]) == 6
+        assert products["1"] == products["2"]
 
     @pytest.mark.parametrize(
         "flag",
