@@ -50,7 +50,6 @@ from .harmonics import (
     SphericalSamples,
     build_grid,
     expand,
-    frequency_energies,
     truncation_error,
 )
 from .model import (

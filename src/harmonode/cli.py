@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
-import json
 import sys
 import warnings
 from pathlib import Path
@@ -34,10 +33,12 @@ from .descriptor import (
     energy_vectors,
     node_expansions,
 )
-from .fea import SingularStructureError, extract_demands, solve
+from .fea import extract_demands, solve
 from .generator import GridTrussParams, free_control_cells, latin_hypercube, sweep
-from .harmonics import DEFAULT_L_MAX
-from .model import ModelFormatError, TrussModel, UnknownFieldWarning, _warn_unknown, is_finite_number, read_model
+from .harmonics import DEFAULT_L_MAX, HarmonicExpansion
+from .model import (
+    ModelFormatError, UnknownFieldWarning, _json_object, _warn_unknown, is_finite_number, read_model
+)
 
 
 def main(argv=None) -> int:
@@ -49,7 +50,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ModelFormatError, SingularStructureError, ValueError, ArithmeticError) as exc:
+    except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
@@ -127,24 +128,20 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read_reporting_warnings(read, *args):
-    """read(*args), each warning it raised printed as one 'warning: ...' line on stderr."""
+def _read_file(path: str, kind: str, read):
+    """read(the file's bytes); each warning printed as one 'warning: ...' line, errors led by the path."""
+    p = Path(path)
+    if not p.exists():
+        raise FileNotFoundError(f"{kind} file not found: {path}")
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", UnknownFieldWarning)
-        result = read(*args)
+        try:
+            result = read(p.read_bytes())
+        except ModelFormatError as exc:
+            raise ModelFormatError(f"{path}: {exc}") from exc
     for item in caught:
         print(f"warning: {item.message}", file=sys.stderr)
     return result
-
-
-def _load_model(path: str) -> TrussModel:
-    p = Path(path)
-    if not p.exists():
-        raise FileNotFoundError(f"model file not found: {path}")
-    try:
-        return _read_reporting_warnings(read_model, p.read_bytes())
-    except ModelFormatError as exc:
-        raise ModelFormatError(f"{path}: {exc}") from exc
 
 
 def _input_vectors(args):
@@ -155,7 +152,7 @@ def _input_vectors(args):
 
 
 def cmd_analyze(args) -> int:
-    model = _load_model(args.model)
+    model = _read_file(args.model, "model", read_model)
     result = solve(model, args.load_case)
     exports.write_displacements_csv(args.out / "displacements.csv", result)
     exports.write_forces_csv(args.out / "forces.csv", result)
@@ -169,18 +166,19 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_descriptors(args) -> int:
-    model = _load_model(args.model)
+    model = _read_file(args.model, "model", read_model)
     result = solve(model, args.load_case)
     demands = extract_demands(
         model, result, include_applied_loads=args.include_loads, include_reactions=args.include_reactions
     )
-    expansions = node_expansions(
+    coefficients = node_expansions(
         demands, args.delta, args.lmax, kernel=args.kernel, amplitude_mode=args.amplitude
     )
-    vectors = energy_vectors(demands, expansions)
+    vectors = energy_vectors(demands, coefficients)
     exports.write_feature_vectors_csv(args.out / "feature_vectors.csv", vectors)
     if args.write_expansions:
-        for demand, expansion in zip(demands, expansions):
+        for demand, row in zip(demands, coefficients):
+            expansion = HarmonicExpansion(args.lmax, row)
             exports.write_expansion_csv(args.out / f"expansion_{demand.node:04d}.csv", expansion)
     print(f"wrote {len(vectors)} feature vectors of length {args.lmax + 1}")
     return 0
@@ -258,10 +256,7 @@ def cmd_complexity(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    path = Path(args.params)
-    if not path.exists():
-        raise FileNotFoundError(f"params file not found: {args.params}")
-    params, bounds = _read_reporting_warnings(_read_sweep_params, path)
+    params, bounds = _read_file(args.params, "params", _read_sweep_params)
     samples = latin_hypercube(args.n, bounds, seed=args.seed)
     records = sweep(
         params,
@@ -288,25 +283,18 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def _read_sweep_params(path: Path) -> tuple[GridTrussParams, tuple]:
+def _read_sweep_params(document: str | bytes) -> tuple[GridTrussParams, tuple]:
     """The family and bounds of a family file; GridTrussParams checks the family's values."""
-    try:
-        raw = json.loads(path.read_bytes().decode("utf-8"))
-    except UnicodeDecodeError as exc:
-        raise ModelFormatError(f"{path}: document is not UTF-8: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ModelFormatError(f"{path}: invalid JSON: {exc.msg} (offset {exc.pos})") from exc
-    if not isinstance(raw, dict):
-        raise ModelFormatError(f"{path}: top level must be a JSON object")
+    raw = _json_object(document)
     fields = dataclasses.fields(GridTrussParams)
     _warn_unknown(raw, {*(f.name for f in fields), "bounds"})
     for f in fields:
         if f.default is dataclasses.MISSING and f.name not in raw:
-            raise ModelFormatError(f"{path}: field {f.name!r}: required field is missing")
+            raise ModelFormatError(f"field {f.name!r}: required field is missing")
     try:
         params = GridTrussParams(**{f.name: raw[f.name] for f in fields if f.name in raw})
     except ValueError as exc:
-        raise ModelFormatError(f"{path}: {exc}") from exc
+        raise ModelFormatError(str(exc)) from exc
 
     free = free_control_cells(params)
     bounds_raw = raw.get("bounds", [0.0, 2.0])
@@ -316,15 +304,15 @@ def _read_sweep_params(path: Path) -> tuple[GridTrussParams, tuple]:
         pairs = bounds_raw
     else:
         raise ModelFormatError(
-            f"{path}: bounds must be one [lo, hi] pair or a list of [lo, hi] pairs, got {bounds_raw!r}"
+            f"bounds must be one [lo, hi] pair or a list of [lo, hi] pairs, got {bounds_raw!r}"
         )
     if len(pairs) != free:
         raise ModelFormatError(
-            f"{path}: bounds: expected {free} pairs for the symmetric control grid, got {len(pairs)}"
+            f"bounds: expected {free} pairs for the symmetric control grid, got {len(pairs)}"
         )
     for d, (lo, hi) in enumerate(pairs):
         if not lo < hi:
-            raise ModelFormatError(f"{path}: bounds: pair {d} must satisfy lo < hi, got [{lo}, {hi}]")
+            raise ModelFormatError(f"bounds: pair {d} must satisfy lo < hi, got [{lo}, {hi}]")
     return params, tuple((float(lo), float(hi)) for lo, hi in pairs)
 
 

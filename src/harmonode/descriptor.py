@@ -32,7 +32,6 @@ from .analysis import _as_points, _distance_blocks
 from .fea import COMPRESSION, TENSION, DemandEntry, NodalDemand
 from .harmonics import (
     DEFAULT_L_MAX,
-    HarmonicExpansion,
     QuadratureGrid,
     SphericalSamples,
     _degree_order,
@@ -146,38 +145,39 @@ def node_expansions(
     grid: QuadratureGrid | None = None,
     kernel: str = KERNEL_GEODESIC,
     amplitude_mode: str = AMPLITUDE_MAGNITUDE,
-) -> list[HarmonicExpansion]:
-    """Harmonic expansions of the nodes' force functions, in demand order.
+) -> np.ndarray:
+    """Harmonic coefficients of the nodes' force functions, one row per demand.
 
-    Geodesic expansions are closed form and ignore grid. Coordinate force
-    functions are sampled on grid (default build_grid(l_max)) and projected.
+    Shape (len(demands), (l_max+1)**2), each row flat degree-major as in
+    HarmonicExpansion. Geodesic expansions are closed form and ignore grid.
+    Coordinate force functions are sampled on grid (default build_grid(l_max))
+    and projected.
     """
     if kernel not in (KERNEL_COORDINATE, KERNEL_GEODESIC):
         raise ValueError(f"unknown kernel {kernel!r}")
     if l_max < 0:
         raise ValueError(f"l_max must be non-negative, got {l_max}")
     specs = [ForceFunctionSpec(d, delta, amplitude_mode) for d in demands]
+    coefficients = np.zeros((len(specs), (l_max + 1) ** 2))
     if kernel == KERNEL_COORDINATE:
         grid = build_grid(l_max) if grid is None else grid
-        return [expand(build_force_function(spec, grid), l_max) for spec in specs]
+        for row, spec in zip(coefficients, specs):
+            row[:] = expand(build_force_function(spec, grid), l_max).coefficients
+        return coefficients
 
-    degree = _degree_order(l_max)[0]
-    eigenvalues = _geodesic_eigenvalues(delta, l_max)[degree]
-    expansions = []
+    eigenvalues = _geodesic_eigenvalues(delta, l_max)[_degree_order(l_max)[0]]
     for first in range(0, len(specs), _BLOCK_NODES):
         block = specs[first : first + _BLOCK_NODES]
         directions = np.array([e.direction for spec in block for e in spec.demand.entries])
         x, y, z = directions.reshape(-1, 3).T
         amplitudes = np.array([a for spec in block for a in spec.amplitudes()])
         theta, phi = np.arccos(np.clip(z, -1.0, 1.0)), np.arctan2(y, x)
-        terms = amplitudes[:, None] * _harmonics(l_max, theta, phi)
         # entries are in node order, so each non-empty node sums one contiguous run
         counts = np.array([len(spec.demand.entries) for spec in block])
-        filled = counts > 0
-        sums = np.zeros((len(block), degree.size))
-        sums[filled] = np.add.reduceat(terms, (np.cumsum(counts) - counts)[filled], axis=0)
-        expansions += [HarmonicExpansion(l_max, eigenvalues * row) for row in sums]
-    return expansions
+        starts = (np.cumsum(counts) - counts)[counts > 0]
+        sums = np.add.reduceat(amplitudes[:, None] * _harmonics(l_max, theta, phi), starts, axis=0)
+        coefficients[first + np.flatnonzero(counts)] = eigenvalues * sums
+    return coefficients
 
 
 def _geodesic_eigenvalues(delta: float, l_max: int) -> np.ndarray:
@@ -193,11 +193,10 @@ def _geodesic_eigenvalues(delta: float, l_max: int) -> np.ndarray:
     return np.polynomial.legendre.legvander(np.cos(gamma), l_max).T @ weights
 
 
-def energy_vectors(demands: list[NodalDemand], expansions: list[HarmonicExpansion]) -> list[FeatureVector]:
-    """Each node's feature vector, in demand order: the per-degree energies of its expansion."""
-    if not expansions:
-        return []
-    energies = degree_energies(np.array([e.coefficients for e in expansions]), expansions[0].l_max)
+def energy_vectors(demands: list[NodalDemand], coefficients: np.ndarray) -> list[FeatureVector]:
+    """Each node's feature vector, in demand order: the per-degree energies of its coefficient row."""
+    l_max = math.isqrt(coefficients.shape[1]) - 1
+    energies = degree_energies(coefficients, l_max)
     return [FeatureVector(tuple(row), d.node) for d, row in zip(demands, energies.tolist())]
 
 
@@ -210,8 +209,7 @@ def node_feature_vectors(
     amplitude_mode: str = AMPLITUDE_MAGNITUDE,
 ) -> list[FeatureVector]:
     """Feature vectors of many demands: the energies of their node_expansions."""
-    expansions = node_expansions(demands, delta, l_max, grid, kernel, amplitude_mode)
-    return energy_vectors(demands, expansions)
+    return energy_vectors(demands, node_expansions(demands, delta, l_max, grid, kernel, amplitude_mode))
 
 
 def distance_matrix(vectors: list[FeatureVector]) -> DistanceMatrix:

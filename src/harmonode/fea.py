@@ -55,7 +55,7 @@ _EQUILIBRIUM_RTOL = 1e-8
 _SOLVE_BLOCK = 64
 
 
-class SingularStructureError(Exception):
+class SingularStructureError(ArithmeticError):
     """The stiffness matrix is singular: a mechanism or missing restraint."""
 
     def __init__(self, node: int, axis: str, pivot: float, share: float):
@@ -143,11 +143,12 @@ def solve(model: TrussModel, load_case: str | None = None) -> AnalysisResult:
     member. No dense K is formed.
 
     Axial force per element is (EA/L) * (u_end - u_start) . unit(start->end),
-    positive in tension. Raises SingularStructureError for a mechanism,
-    naming the DOF of the first band pivot at or below 1e-8 times the largest
-    stiffness diagonal (a DOF that moves in a mechanism mode); ArithmeticError
-    naming the node and direction of the largest residual when equilibrium
-    fails its 1e-8 gate; and ValueError when the case has no loads.
+    positive in tension. Raises SingularStructureError (an ArithmeticError)
+    for a mechanism, naming the DOF of the first band pivot at or below 1e-8
+    times the largest stiffness diagonal (a DOF that moves in a mechanism
+    mode); ArithmeticError naming the node and direction of the largest
+    residual when equilibrium fails its 1e-8 gate; and ValueError when the
+    case has no loads.
     """
     case = resolve_load_case(model, load_case)
     loads = [l for l in model.loads if l.load_case == case]
@@ -470,7 +471,7 @@ def model_mass(model: TrussModel) -> float:
     return STEEL_DENSITY * float(np.array([el.area for el in model.elements]) @ length)
 
 
-def size_members(model: TrussModel, max_iter: int = 20, load_case: str | None = None) -> SizingResult:
+def size_members(model: TrussModel, max_iter: int = 50, load_case: str | None = None) -> SizingResult:
     """Strength-size every member, re-solving until areas stop changing.
 
     Each pass solves a model and takes each member's strength size

@@ -23,7 +23,7 @@ import numpy as np
 from . import descriptor
 from .analysis import complexity_score
 from .exports import fmt_float, write_csv, write_feature_vectors_csv
-from .fea import SingularStructureError, extract_demands, size_members, solve
+from .fea import extract_demands, size_members, solve
 from .harmonics import DEFAULT_L_MAX
 from .model import Point3, PointLoad, Support, TrussElement, TrussModel, TrussNode, is_finite_number, validate
 
@@ -272,10 +272,10 @@ def sweep(
     Per sample (a row of samples): generate, strength-size, solve, extract
     demands, build feature vectors, and score complexity. Results land in
     out_dir as sweep.csv (one row per design) plus one feature-vector file
-    per design. A sample that raises ValueError, ArithmeticError or
-    SingularStructureError, or whose sizing does not converge, is tagged
-    "error: <message>" in the status column and the sweep continues; any
-    other exception is a programming error and propagates.
+    per design. A sample that raises ValueError or ArithmeticError (a
+    SingularStructureError is one), or whose sizing does not converge, is
+    tagged "error: <message>" in the status column and the sweep continues;
+    any other exception is a programming error and propagates.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -308,7 +308,7 @@ def sweep(
                 complexity_radius=radius,
                 status="ok",
             )
-        except (ValueError, ArithmeticError, SingularStructureError) as exc:
+        except (ValueError, ArithmeticError) as exc:
             record = SweepRecord(
                 sample_id=index,
                 parameters=vector,

@@ -92,11 +92,6 @@ class HarmonicExpansion:
         if not np.all(np.isfinite(self.coefficients)):
             raise ValueError("coefficients must be finite")
 
-    def coefficient(self, l: int, m: int) -> float:
-        if not (0 <= l <= self.l_max and -l <= m <= l):
-            raise ValueError(f"no coefficient for (l={l}, m={m}) at l_max={self.l_max}")
-        return float(self.coefficients[l * l + l + m])
-
     def rows(self):
         """Iterate (l, m, a_lm) in storage order as Python numbers, for CSV export."""
         l, m, _ = _degree_order(self.l_max)
@@ -247,21 +242,14 @@ def truncation_error(samples: SphericalSamples, expansion: HarmonicExpansion) ->
     return samples.grid.norm2(residual) / denom
 
 
-def frequency_energies(expansion: HarmonicExpansion) -> np.ndarray:
-    """Per-degree energies: component l is sqrt(sum_m a_lm^2), length l_max+1.
-
-    Each degree spans a rotation-closed subspace, so these are invariant to
-    rigid rotation of the underlying function.
-    """
-    return degree_energies(expansion.coefficients, expansion.l_max)[0]
-
-
 def degree_energies(coefficients: np.ndarray, l_max: int) -> np.ndarray:
-    """frequency_energies of every row of flat coefficients, shape (rows, l_max+1).
+    """Per-degree energies of every row of flat coefficients, shape (rows, l_max+1).
 
-    One batched (1 x k)(k x 1) product per degree sums each row's squares
-    with the dot kernel of block @ block, so every row is bit-equal to its
-    own expansion's energies.
+    Component l of a row is sqrt(sum_m a_lm^2). Each degree spans a
+    rotation-closed subspace, so these are invariant to rigid rotation of the
+    underlying function. One batched (1 x k)(k x 1) product per degree sums
+    each row's squares with the dot kernel of block @ block, so a row's
+    energies do not depend on the rows batched with it.
     """
     rows = np.asarray(coefficients, dtype=float).reshape(-1, (l_max + 1) ** 2)
     squares = np.empty((len(rows), l_max + 1))

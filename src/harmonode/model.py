@@ -186,20 +186,7 @@ def read_model(document: str | bytes) -> TrussModel:
     raises ModelFormatError carrying the character offset; schema violations
     raise ModelFormatError naming the offending JSON path.
     """
-    if isinstance(document, bytes):
-        try:
-            document = document.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise ModelFormatError(f"document is not UTF-8: {exc}") from exc
-    try:
-        raw = json.loads(document)
-    except json.JSONDecodeError as exc:
-        raise ModelFormatError(
-            f"invalid JSON at offset {exc.pos} (line {exc.lineno}, column {exc.colno}): {exc.msg}"
-        ) from exc
-
-    if not isinstance(raw, dict):
-        raise ModelFormatError("top level must be a JSON object")
+    raw = _json_object(document)
     _warn_unknown(raw, _MODEL_KEYS)
 
     # A node's id is checked for duplicates as it is read, before its coordinates.
@@ -260,6 +247,24 @@ def write_model(model: TrussModel) -> str:
         for l in model.loads
     ]
     return json.dumps(doc, indent=2) + "\n"
+
+
+def _json_object(document: str | bytes) -> dict:
+    """The top-level object of a JSON document, decoded as UTF-8 if given bytes."""
+    if isinstance(document, bytes):
+        try:
+            document = document.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ModelFormatError(f"document is not UTF-8: {exc}") from exc
+    try:
+        raw = json.loads(document)
+    except json.JSONDecodeError as exc:
+        raise ModelFormatError(
+            f"invalid JSON at offset {exc.pos} (line {exc.lineno}, column {exc.colno}): {exc.msg}"
+        ) from exc
+    if not isinstance(raw, dict):
+        raise ModelFormatError("top level must be a JSON object")
+    return raw
 
 
 def _warn_unknown(obj: dict, known, prefix: str = "", stacklevel: int = 3) -> None:

@@ -13,6 +13,8 @@ from conftest import two_bar_closed_form, two_bar_model
 from harmonode import cli, descriptor, exports
 from harmonode.analysis import kmeans
 from harmonode.cli import main
+from harmonode.fea import SingularStructureError
+from harmonode.generator import GridTrussParams, generate_grid_truss
 from harmonode.model import write_model
 
 
@@ -592,6 +594,34 @@ class TestSweepCommand:
         path.write_bytes(b"\xff{}")
         assert main(["sweep", str(path), "--n", "2", "--out", str(tmp_path / "x")]) == 1
         assert capsys.readouterr().err.startswith(f"error: {path}: document is not UTF-8: ")
+
+    def test_invalid_json_named_alike_in_family_and_model_files(self, tmp_path, capsys):
+        family = tmp_path / "family.json"
+        family.write_text('{\n  "nx": 4,\n  oops\n}\n')
+        assert main(["sweep", str(family), "--n", "2", "--out", str(tmp_path / "x")]) == 1
+        message = (
+            "invalid JSON at offset 15 (line 3, column 3): Expecting property name enclosed in double quotes"
+        )
+        assert capsys.readouterr().err == f"error: {family}: {message}\n"
+        model = tmp_path / "bad.truss.json"
+        model.write_bytes(family.read_bytes())
+        assert main(["analyze", str(model), "--out", str(tmp_path / "y")]) == 1
+        assert capsys.readouterr().err == f"error: {model}: {message}\n"
+
+    def test_singular_design_is_a_data_error(self, tmp_path, capsys):
+        # One pinned node cannot restrain the grid: sweep tags every design, analyze exits 1.
+        assert issubclass(SingularStructureError, ArithmeticError)
+        code, _ = self.sweep_family(tmp_path, "pinned", {**FAMILY_4X4, "supports": [16]})
+        assert code == 0
+        statuses = [row["solver_status"] for row in read_csv(tmp_path / "pinned" / "sweep.csv")]
+        assert len(statuses) == 2
+        assert all(s.startswith("error: stiffness matrix is singular near node ") for s in statuses)
+        params = GridTrussParams(**{**FAMILY_4X4, "control_heights": ((0.0, 0.0),) * 2, "supports": (16,)})
+        path = tmp_path / "pinned.truss.json"
+        path.write_text(write_model(generate_grid_truss(params)))
+        capsys.readouterr()
+        assert main(["analyze", str(path), "--out", str(tmp_path / "analyze")]) == 1
+        assert capsys.readouterr().err.startswith("error: stiffness matrix is singular near node ")
 
     def test_integral_float_count_sweeps_like_an_int(self, tmp_path):
         assert self.sweep_family(tmp_path, "int", {**FAMILY_4X4, "nx": 4})[0] == 0

@@ -23,7 +23,7 @@ from harmonode.descriptor import (
 )
 from harmonode.analysis import kmeans, min_enclosing_ball
 from harmonode.fea import COMPRESSION, TENSION, DemandEntry, NodalDemand
-from harmonode.harmonics import DEFAULT_OVERSAMPLE, build_grid, expand, frequency_energies
+from harmonode.harmonics import DEFAULT_OVERSAMPLE, build_grid, degree_energies, expand
 
 SAMPLERS = {KERNEL_COORDINATE: build_force_function, KERNEL_GEODESIC: sample_geodesic}
 
@@ -227,7 +227,8 @@ amplitude_modes = st.sampled_from([AMPLITUDE_MAGNITUDE, AMPLITUDE_SIGNED])
 
 def oracle_energies(demand, delta, amplitude_mode, oversample):
     spec = ForceFunctionSpec(demand, delta=delta, amplitude_mode=amplitude_mode)
-    return frequency_energies(expand(sample_geodesic(spec, oversampled_grid(16, oversample)), 16))
+    expansion = expand(sample_geodesic(spec, oversampled_grid(16, oversample)), 16)
+    return degree_energies(expansion.coefficients, 16)[0]
 
 
 class TestGeodesicClosedForm:
@@ -288,10 +289,10 @@ class TestGeodesicClosedForm:
             random_demand(rng, node=i) if i % 7 else NodalDemand(i, ()) for i in range(40)
         ]
         batched = node_expansions(demands)
-        for demand, expansion in zip(demands, batched):
-            alone = node_expansions([demand])[0]
-            assert np.array_equal(expansion.coefficients, alone.coefficients)
-        assert not batched[0].coefficients.any()
+        assert batched.shape == (40, 17 * 17)
+        for demand, row in zip(demands, batched):
+            assert np.array_equal(row, node_expansions([demand])[0])
+        assert not batched[::7].any()
 
     def test_l_max_validated(self):
         with pytest.raises(ValueError, match="l_max"):
@@ -423,11 +424,11 @@ def test_energy_vectors_bit_equal_to_per_node_energies(flat_model, kernel):
     from harmonode.fea import extract_demands, solve
 
     demands = extract_demands(flat_model, solve(flat_model))
-    expansions = node_expansions(demands, kernel=kernel, amplitude_mode=AMPLITUDE_SIGNED)
-    vectors = energy_vectors(demands, expansions)
+    coefficients = node_expansions(demands, kernel=kernel, amplitude_mode=AMPLITUDE_SIGNED)
+    assert coefficients.shape == (len(demands), 17 * 17)
+    vectors = energy_vectors(demands, coefficients)
     assert [v.node for v in vectors] == [d.node for d in demands]
-    for vector, expansion in zip(vectors, expansions):
-        a = expansion.coefficients
-        blocks = [a[l * l : (l + 1) * (l + 1)] for l in range(expansion.l_max + 1)]
+    for vector, a in zip(vectors, coefficients):
+        blocks = [a[l * l : (l + 1) * (l + 1)] for l in range(17)]
         assert vector.components == tuple(math.sqrt(float(b @ b)) for b in blocks)
-    assert energy_vectors([], []) == []
+    assert energy_vectors([], node_expansions([], kernel=kernel)) == []

@@ -363,6 +363,16 @@ README_FAMILY = GridTrussParams(
 )
 
 
+def test_readme_family_sizes_at_11x11_under_the_default_cap():
+    # Sample 1 of `sweep --n 4 --seed 0` converges on pass 21.
+    params = replace(README_FAMILY, nx=11, ny=11)
+    values = latin_hypercube(4, [(0.0, 2.0)] * free_control_cells(params), seed=0)[1]
+    design = apply_control_sample(params, values)
+    sized = size_members(generate_grid_truss(design), load_case=design.load_case)
+    assert sized.converged
+    assert sized.iterations == 21
+
+
 @pytest.mark.parametrize("n", [5, 7, 9])
 def test_mirror_twins_share_signatures(n):
     params = replace(README_FAMILY, nx=n, ny=n)

@@ -12,7 +12,6 @@ from harmonode.harmonics import (
     build_grid,
     degree_energies,
     expand,
-    frequency_energies,
     reconstruct_on_grid,
     truncation_error,
 )
@@ -101,7 +100,7 @@ class TestHarmonicExpansion:
         assert [(l, m) for l, m, _ in rows] == [(l, m) for l in range(l_max + 1) for m in range(-l, l + 1)]
         for l, m, a in rows:
             assert type(l) is int and type(m) is int and type(a) is float
-            assert a == expansion.coefficient(l, m)
+            assert a == expansion.coefficients[l * l + l + m]
 
 
 class TestBuildGrid:
@@ -131,7 +130,7 @@ class TestExpand:
         grid = build_grid(16)
         samples = SphericalSamples(grid, np.ones((grid.n_theta, grid.n_phi)))
         expansion = expand(samples, 16)
-        assert expansion.coefficient(0, 0) == pytest.approx(math.sqrt(4 * math.pi), abs=1e-10)
+        assert expansion.coefficients[0] == pytest.approx(math.sqrt(4 * math.pi), abs=1e-10)
         rest = expansion.coefficients.copy()
         rest[0] = 0.0
         assert np.abs(rest).max() <= 1e-10
@@ -141,7 +140,7 @@ class TestExpand:
         theta, phi = np.meshgrid(grid.theta, grid.phi, indexing="ij")
         samples = SphericalSamples(grid, basis(3, 2, theta, phi))
         expansion = expand(samples, 16)
-        assert expansion.coefficient(3, 2) == pytest.approx(1.0, abs=1e-10)
+        assert expansion.coefficients[3 * 3 + 3 + 2] == pytest.approx(1.0, abs=1e-10)
         rest = expansion.coefficients.copy()
         rest[3 * 3 + 3 + 2] = 0.0
         assert np.abs(rest).max() <= 1e-10
@@ -246,7 +245,7 @@ class TestFrequencyEnergies:
         grid = build_grid(8)
         c = -3.5
         expansion = expand(SphericalSamples(grid, np.full((grid.n_theta, grid.n_phi), c)), 8)
-        energies = frequency_energies(expansion)
+        energies = degree_energies(expansion.coefficients, expansion.l_max)[0]
         assert energies[0] == pytest.approx(abs(c) * math.sqrt(4 * math.pi), rel=1e-10)
         assert np.abs(energies[1:]).max() <= 1e-9
 
@@ -254,7 +253,7 @@ class TestFrequencyEnergies:
         grid = build_grid(8)
         theta, phi = np.meshgrid(grid.theta, grid.phi, indexing="ij")
         expansion = expand(SphericalSamples(grid, basis(2, 1, theta, phi)), 8)
-        energies = frequency_energies(expansion)
+        energies = degree_energies(expansion.coefficients, expansion.l_max)[0]
         assert energies[2] == pytest.approx(1.0, abs=1e-10)
         others = energies.copy()
         others[2] = 0.0
@@ -264,8 +263,7 @@ class TestFrequencyEnergies:
         rng = np.random.default_rng(19)
         l_max = 6
         coeffs = rng.normal(size=(l_max + 1) ** 2)
-        expansion = HarmonicExpansion(l_max=l_max, coefficients=coeffs)
-        energies = frequency_energies(expansion)
+        energies = degree_energies(coeffs, l_max)[0]
         for l in range(l_max + 1):
             block = coeffs[l * l : (l + 1) * (l + 1)]
             assert energies[l] == pytest.approx(math.sqrt(np.sum(block * block)), rel=1e-12)
@@ -286,7 +284,7 @@ def test_degree_energies_bit_equal_to_per_row_products(l_max):
     energies = degree_energies(rows, l_max)
     assert energies.shape == (40, l_max + 1)
     assert np.array_equal(energies, per_row_energies(rows, l_max))
-    single = frequency_energies(HarmonicExpansion(l_max, rows[1].copy()))
+    single = degree_energies(rows[1].copy(), l_max)[0]
     assert np.array_equal(single, energies[1])
 
 
@@ -313,7 +311,7 @@ class TestInvariants:
         grid = oversampled_grid(l_max, 2.0)
         coeffs = rng.normal(size=(l_max + 1) ** 2)
         base = HarmonicExpansion(l_max=l_max, coefficients=coeffs)
-        reference = frequency_energies(base)
+        reference = degree_energies(base.coefficients, base.l_max)[0]
 
         rotation = random_rotation(rng)
         mesh = grid_unit_vectors(grid)
@@ -322,7 +320,8 @@ class TestInvariants:
         phi_r = np.arctan2(rotated_mesh[..., 1], rotated_mesh[..., 0])
         rotated_values = series(base, theta_r, phi_r)
         rotated = expand(SphericalSamples(grid, rotated_values), l_max)
-        assert np.allclose(frequency_energies(rotated), reference, rtol=1e-6, atol=1e-9)
+        energies = degree_energies(rotated.coefficients, l_max)[0]
+        assert np.allclose(energies, reference, rtol=1e-6, atol=1e-9)
 
     def test_discrete_orthonormality_spot_checks(self):
         grid = build_grid(16)

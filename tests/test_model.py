@@ -388,7 +388,7 @@ def test_family_file_warning_points_at_the_caller(tmp_path):
     ))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        _read_sweep_params(path)
+        _read_sweep_params(path.read_bytes())
     assert [str(w.message) for w in caught] == ["ignoring unknown field 'colour'"]
     assert caught[0].filename == __file__
 
