@@ -185,8 +185,9 @@ def _stress(coordinates: np.ndarray, given_rows) -> float:
 def min_enclosing_ball(points, tol: float = DEFAULT_BALL_TOL, max_iter: int = 200_000) -> BoundingSphere:
     """Smallest sphere covering all points, certified to within tol of the optimum.
 
-    Away-step Frank-Wolfe on the dual (Yildirim, "Two Algorithms for the
-    Minimum Enclosing Ball Problem", SIAM J. Optim. 2008). The points are
+    Pairwise Frank-Wolfe on the dual (Lacoste-Julien and Jaggi, "On the
+    Global Linear Convergence of Frank-Wolfe Optimization Variants", NeurIPS
+    2015; the problem is Yildirim's, SIAM J. Optim. 2008). The points are
     first centred on their mean, and the mean is added back to the returned
     center, so a cluster whose radius is tiny next to its distance from the
     origin (mirror twins, symmetry orbits) keeps its digits. A convex
@@ -196,13 +197,11 @@ def min_enclosing_ball(points, tol: float = DEFAULT_BALL_TOL, max_iter: int = 20
     radius and upper = max_i |p_i - c| an upper one; computed from the
     distances themselves, the lower bound cannot cancel.
 
-    Each step moves weight along the direction whose exact line search
-    raises the lower bound most: toward the farthest point, away from the
-    nearest supporting point, or pairwise from one supporting point straight
-    to the farthest one (the partner that gains most). Away and pairwise
-    steps may drop a point from the support. The pairwise step closes thin
-    acute triangles, such as two near-twins and a distant point, on which
-    toward and away steps alone zig-zag for over 200 000 iterations.
+    Starting from two far-apart points, each step moves weight from one
+    supporting point straight to the farthest point, with an exact line
+    search; the supporting point is the one whose step raises the lower
+    bound most. A step that moves all of its weight drops that point from
+    the support.
 
     Iteration stops once upper - lower <= tol * upper. The reported radius
     is the exact covering radius of the final center, computed in centred
@@ -245,43 +244,17 @@ def min_enclosing_ball(points, tol: float = DEFAULT_BALL_TOL, max_iter: int = 20
                 f"iterations: relative gap {(upper - lower) / upper:.3e} > tol {tol:g}"
             )
         support = np.flatnonzero(weights > 0)
-        near = int(support[np.argmin(dist2[support])])
-        near2, held = float(dist2[near]), float(weights[near])
-        toward = _line_search(upper2 - lower2, upper2, 1.0)
-        away = _line_search(lower2 - near2, near2, held / (1.0 - held) if held < 1.0 else 0.0)
-        # Pairwise: weight moves from one supporting point straight to the
-        # farthest one; the partner is the one with the largest exact gain.
         slope = upper2 - dist2[support]
         curvature = ((pts[support] - pts[far]) ** 2).sum(axis=1)
         with np.errstate(divide="ignore", invalid="ignore"):
             steps = np.fmin(weights[support], slope / (2.0 * curvature))
-        gains = steps * slope - steps * steps * curvature
-        partner = int(np.argmax(gains))
-        source = int(support[partner])
-        pairwise = (float(gains[partner]), float(steps[partner]), steps[partner] == weights[source])
-        best = max(toward, away, pairwise)
-        _, step, drop = best
-        if best is toward:
-            weights *= 1.0 - step
-            weights[far] += step
-        elif best is away:
-            weights *= 1.0 + step
-            weights[near] = 0.0 if drop else weights[near] - step
-        else:
-            weights[source] = 0.0 if drop else weights[source] - step
-            weights[far] += step
+        best = int(np.argmax(steps * slope - steps * steps * curvature))
+        step = float(steps[best])
+        weights[support[best]] -= step  # exactly 0 when the step takes all of it
+        weights[far] += step
 
     center = np.ldexp(center, exponent) + mean
     return BoundingSphere(center=center, radius=math.ldexp(upper, exponent))
-
-
-def _line_search(slope: float, curvature: float, cap: float) -> tuple[float, float, bool]:
-    """Step on [0, cap] maximizing gain = step * slope - step**2 * curvature.
-
-    Returns (gain, step, whether the step reached the cap).
-    """
-    step = cap if curvature <= 0.0 else min(cap, max(slope, 0.0) / (2.0 * curvature))
-    return step * slope - step * step * curvature, step, step == cap
 
 
 def complexity_score(vectors) -> float:

@@ -151,12 +151,14 @@ def node_expansions(
     Shape (len(demands), (l_max+1)**2), each row flat degree-major as in
     HarmonicExpansion. Geodesic expansions are closed form and ignore grid.
     Coordinate force functions are sampled on grid (default build_grid(l_max))
-    and projected.
+    and projected. The settings are checked before any demand is read, so a
+    call with no demands checks them alone.
     """
     if kernel not in (KERNEL_COORDINATE, KERNEL_GEODESIC):
         raise ValueError(f"unknown kernel {kernel!r}")
     if l_max < 0:
         raise ValueError(f"l_max must be non-negative, got {l_max}")
+    ForceFunctionSpec(NodalDemand(0, ()), delta, amplitude_mode)  # checks the settings with no demands too
     specs = [ForceFunctionSpec(d, delta, amplitude_mode) for d in demands]
     coefficients = np.zeros((len(specs), (l_max + 1) ** 2))
     if kernel == KERNEL_COORDINATE:

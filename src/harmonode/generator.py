@@ -4,8 +4,8 @@ The family is a square-on-square offset space truss: a top chord grid whose
 heights follow a smooth surface interpolated from a small control grid, a
 flat bottom chord grid at the cell centres one layer below, and diagonals
 from every bottom node to its four surrounding top nodes. Mirroring the
-control heights mirrors the plan exactly and the heights to a few ulps of
-the control values, which downstream symmetry checks rely on.
+control heights mirrors the plan and the heights exactly, which downstream
+symmetry checks rely on.
 
 The control-height surface stands in for a free-form roof parameterization:
 a handful of symmetric control values span a family of flat, domed and
@@ -157,7 +157,8 @@ def default_supports(params: GridTrussParams) -> tuple[int, ...]:
 def generate_grid_truss(params: GridTrussParams) -> TrussModel:
     """Build the design as a validated truss model.
 
-    Top nodes sit at interpolated surface heights over an nx x ny plan grid;
+    Top nodes sit at interpolated surface heights over an nx x ny plan grid
+    (row i past mid-plan as row nx - 1 - i of the reversed control rows);
     bottom nodes sit one depth below the cell centres; every bottom node is
     tied to its four surrounding top nodes. A uniform downward load acts at
     each top node. The plan enclosure area is recorded on the model.
@@ -171,9 +172,15 @@ def generate_grid_truss(params: GridTrussParams) -> TrussModel:
     top = top_node_id(params, *np.indices((nx, ny)))
     bottom = bottom_node_id(params, *np.indices((nx - 1, ny - 1)))
 
-    top_ids, control = top.ravel().tolist(), params.control_heights
+    top_ids = top.ravel().tolist()
+
+    def height(i: int, j: int) -> float:
+        # Past mid-plan, the reversed control rows at the mirrored index: mirror twins make one call.
+        rows, i = (params.control_heights[::-1], nx - 1 - i) if 2 * i > nx - 1 else (params.control_heights, i)
+        return surface_height(rows, i / (nx - 1), j / (ny - 1))
+
     nodes = [
-        TrussNode(nid, Point3(i * bay, j * bay, surface_height(control, i / (nx - 1), j / (ny - 1))))
+        TrussNode(nid, Point3(i * bay, j * bay, height(i, j)))
         for nid, (i, j) in zip(top_ids, np.ndindex(nx, ny))
     ]
     nodes += [
@@ -269,14 +276,17 @@ def sweep(
 ) -> list[SweepRecord]:
     """Run the full pipeline over every sampled design, in sample order.
 
-    Per sample (a row of samples): generate, strength-size, solve, extract
-    demands, build feature vectors, and score complexity. Results land in
+    The signature settings are checked first, so bad ones raise ValueError
+    before any design is sized and out_dir is left alone. Per sample (a row
+    of samples): generate, strength-size, solve, extract demands, build
+    feature vectors, and score complexity. Results land in
     out_dir as sweep.csv (one row per design) plus one feature-vector file
     per design. A sample that raises ValueError or ArithmeticError (a
     SingularStructureError is one), or whose sizing does not converge, is
     tagged "error: <message>" in the status column and the sweep continues;
     any other exception is a programming error and propagates.
     """
+    descriptor.node_expansions([], delta, l_max, kernel=kernel, amplitude_mode=amplitude_mode)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -300,24 +310,10 @@ def sweep(
             )
             radius = complexity_score(vectors)
             write_feature_vectors_csv(out / f"sample_{index:03d}_features.csv", vectors)
-            record = SweepRecord(
-                sample_id=index,
-                parameters=vector,
-                mass_kg=sized.total_mass,
-                mass_per_area=sized.mass_per_area,
-                complexity_radius=radius,
-                status="ok",
-            )
+            outcome = (sized.total_mass, sized.mass_per_area, radius, "ok")
         except (ValueError, ArithmeticError) as exc:
-            record = SweepRecord(
-                sample_id=index,
-                parameters=vector,
-                mass_kg=None,
-                mass_per_area=None,
-                complexity_radius=None,
-                status=f"error: {exc}",
-            )
-        records.append(record)
+            outcome = (None, None, None, f"error: {exc}")
+        records.append(SweepRecord(index, vector, *outcome))
 
     write_sweep_csv(out / "sweep.csv", records)
     return records

@@ -19,7 +19,8 @@ from harmonode.analysis import (
 )
 from harmonode.descriptor import FeatureVector, distance_matrix, node_feature_vectors
 from harmonode.fea import extract_demands, solve
-from harmonode.generator import GridTrussParams, apply_control_sample, generate_grid_truss
+from harmonode.exports import read_feature_vectors_csv
+from harmonode.generator import GridTrussParams, apply_control_sample, generate_grid_truss, latin_hypercube, sweep
 
 
 def brute_force_ball_radius(points: np.ndarray) -> float:
@@ -277,6 +278,27 @@ class TestMinEnclosingBall:
         ball = min_enclosing_ball(np.array([[0.0, 0.0, 0.0], [3e160, 0.0, 0.0]]))
         assert ball.radius == pytest.approx(1.5e160, rel=1e-12, abs=0.0)
         assert ball.center == pytest.approx([1.5e160, 0.0, 0.0], rel=1e-12, abs=0.0)
+
+    def test_kscan_clusters_certify(self, tmp_path):
+        # The connector-count scan's design set: the README 7x7 family, 8 LHS
+        # designs of seed 0, sized; each clustered with k = 2..12. Their
+        # clusters hold mirror twins next to distant points.
+        family = GridTrussParams(nx=7, ny=7, bay=3.0, depth=1.0, control_heights=((0.0, 0.0),) * 4)
+        records = sweep(family, latin_hypercube(8, [(0.0, 2.0)] * 4, seed=0), tmp_path)
+        assert [r.status for r in records] == ["ok"] * 8
+        for design in range(8):
+            vectors = read_feature_vectors_csv(tmp_path / f"sample_{design:03d}_features.csv")
+            points = np.array([v.components for v in vectors])
+            for k in range(2, 13):
+                labels = kmeans(points, k).labels
+                for label in range(k):
+                    members = points[labels == label]
+                    ball = min_enclosing_ball(members, max_iter=1_000)
+                    distances = np.sqrt(((members - ball.center) ** 2).sum(axis=1))
+                    # Twins 1e-10 apart lie 3e4 from the origin: the stored
+                    # center is exact only to its coordinates' spacing.
+                    slack = np.linalg.norm(np.spacing(ball.center))
+                    assert distances.max() <= ball.radius * (1.0 + 1e-12) + slack, (design, k, label)
 
     def test_power_of_two_scaling_is_exact(self):
         points = np.random.default_rng(109).normal(size=(40, 17))

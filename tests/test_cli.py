@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from conftest import two_bar_closed_form, two_bar_model
 
-from harmonode import cli, descriptor, exports
+from harmonode import cli, descriptor, exports, generator
 from harmonode.analysis import kmeans
 from harmonode.cli import main
 from harmonode.fea import SingularStructureError
@@ -496,6 +496,25 @@ class TestSweepCommand:
             main(["sweep", str(family_path), "--n", "2", *flag, "--out", str(tmp_path)])
         assert excinfo.value.code == 2
         assert flag[0] in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag, message",
+        [(["--delta", "0"], "delta must be positive, got 0.0"),
+         (["--delta", "nan"], "delta must be positive, got nan"),
+         (["--lmax", "-1"], "l_max must be non-negative, got -1")],
+        ids=["delta-zero", "delta-nan", "lmax-negative"],
+    )
+    def test_bad_signature_settings_refused_before_sizing(
+        self, family_path, tmp_path, capsys, monkeypatch, flag, message
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a design was sized")
+
+        monkeypatch.setattr(generator, "size_members", refuse)
+        out = tmp_path / "out"
+        assert main(["sweep", str(family_path), "--n", "2", *flag, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (out / "sweep.csv").exists()
 
     def test_missing_params_file(self, tmp_path, capsys):
         assert main(["sweep", str(tmp_path / "none.json"), "--out", str(tmp_path)]) == 2

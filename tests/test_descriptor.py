@@ -298,6 +298,15 @@ class TestGeodesicClosedForm:
         with pytest.raises(ValueError, match="l_max"):
             node_expansions([random_demand(np.random.default_rng(61))], l_max=-1)
 
+    @pytest.mark.parametrize(
+        "settings, message",
+        [({"delta": 0.0}, "delta must be positive, got 0.0"), ({"amplitude_mode": "rms"}, "unknown amplitude mode")],
+        ids=["delta", "amplitude"],
+    )
+    def test_settings_checked_without_demands(self, settings, message):
+        with pytest.raises(ValueError, match=message):
+            node_expansions([], **settings)
+
 
 class TestDistances:
     def test_distance_from_origin_is_norm(self):
