@@ -45,7 +45,6 @@ from .generator import (
     sweep,
 )
 from .harmonics import (
-    HarmonicExpansion,
     QuadratureGrid,
     SphericalSamples,
     build_grid,

@@ -66,13 +66,17 @@ def _as_points(vectors) -> tuple[np.ndarray, tuple[int, ...]]:
 
     FeatureVectors keep their node ids, and one without an id takes its
     position; rows of a plain array are numbered. FeatureVectors of
-    different lengths are refused.
+    different lengths, and a row with a non-finite component, are refused.
     """
     seq = list(vectors)
     if not seq:
         return np.empty((0, 0)), ()
     if not hasattr(seq[0], "components"):
         points = np.atleast_2d(np.asarray(seq, dtype=float))
+        finite = np.isfinite(points).all(axis=1)
+        if not finite.all():
+            row = int(np.argmin(finite))
+            raise ValueError(f"point {row} has a non-finite component: {points[row].tolist()}")
         return points, tuple(range(points.shape[0]))
     lengths = sorted({len(v) for v in seq})
     if len(lengths) > 1:
@@ -205,7 +209,10 @@ def min_enclosing_ball(points, tol: float = DEFAULT_BALL_TOL, max_iter: int = 20
 
     Iteration stops once upper - lower <= tol * upper. The reported radius
     is the exact covering radius of the final center, computed in centred
-    coordinates, so every point lies inside it. Deterministic given input
+    coordinates, where every point lies inside it. Adding the mean back
+    rounds the returned center, so about it the points are covered only up
+    to np.linalg.norm(np.spacing(center)); for a tight cluster far from the
+    origin that slack can exceed the radius. Deterministic given input
     order. Raises ArithmeticError, naming the point count, the iterations
     run and the gap reached, if the gap is still open after max_iter steps:
     no uncertified radius is returned.

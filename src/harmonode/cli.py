@@ -35,7 +35,7 @@ from .descriptor import (
 )
 from .fea import extract_demands, solve
 from .generator import GridTrussParams, free_control_cells, latin_hypercube, sweep
-from .harmonics import DEFAULT_L_MAX, HarmonicExpansion
+from .harmonics import DEFAULT_L_MAX
 from .model import (
     ModelFormatError, UnknownFieldWarning, _json_object, _warn_unknown, is_finite_number, read_model
 )
@@ -178,8 +178,7 @@ def cmd_descriptors(args) -> int:
     exports.write_feature_vectors_csv(args.out / "feature_vectors.csv", vectors)
     if args.write_expansions:
         for demand, row in zip(demands, coefficients):
-            expansion = HarmonicExpansion(args.lmax, row)
-            exports.write_expansion_csv(args.out / f"expansion_{demand.node:04d}.csv", expansion)
+            exports.write_expansion_csv(args.out / f"expansion_{demand.node:04d}.csv", row)
     print(f"wrote {len(vectors)} feature vectors of length {args.lmax + 1}")
     return 0
 

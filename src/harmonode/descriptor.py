@@ -149,7 +149,7 @@ def node_expansions(
     """Harmonic coefficients of the nodes' force functions, one row per demand.
 
     Shape (len(demands), (l_max+1)**2), each row flat degree-major as in
-    HarmonicExpansion. Geodesic expansions are closed form and ignore grid.
+    harmonics.expand. Geodesic expansions are closed form and ignore grid.
     Coordinate force functions are sampled on grid (default build_grid(l_max))
     and projected. The settings are checked before any demand is read, so a
     call with no demands checks them alone.
@@ -164,7 +164,7 @@ def node_expansions(
     if kernel == KERNEL_COORDINATE:
         grid = build_grid(l_max) if grid is None else grid
         for row, spec in zip(coefficients, specs):
-            row[:] = expand(build_force_function(spec, grid), l_max).coefficients
+            row[:] = expand(build_force_function(spec, grid), l_max)
         return coefficients
 
     eigenvalues = _geodesic_eigenvalues(delta, l_max)[_degree_order(l_max)[0]]
@@ -197,8 +197,7 @@ def _geodesic_eigenvalues(delta: float, l_max: int) -> np.ndarray:
 
 def energy_vectors(demands: list[NodalDemand], coefficients: np.ndarray) -> list[FeatureVector]:
     """Each node's feature vector, in demand order: the per-degree energies of its coefficient row."""
-    l_max = math.isqrt(coefficients.shape[1]) - 1
-    energies = degree_energies(coefficients, l_max)
+    energies = degree_energies(coefficients)
     return [FeatureVector(tuple(row), d.node) for d, row in zip(demands, energies.tolist())]
 
 

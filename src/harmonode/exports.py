@@ -13,7 +13,7 @@ from pathlib import Path
 from .analysis import ClusterAssignment, Embedding
 from .descriptor import DistanceMatrix, FeatureVector
 from .fea import AnalysisResult
-from .harmonics import HarmonicExpansion
+from .harmonics import _coefficient_rows, _degree_order
 from .model import Point3
 
 
@@ -98,8 +98,10 @@ def _require_utf8(path: Path) -> None:
         raise ValueError(f"{path}, line {line}: not UTF-8: {exc}") from exc
 
 
-def write_expansion_csv(path: Path, expansion: HarmonicExpansion) -> None:
-    write_csv(path, ["l", "m", "a_lm"], ([l, m, fmt_float(a)] for l, m, a in expansion.rows()))
+def write_expansion_csv(path: Path, coefficients) -> None:
+    coefficients, l_max = _coefficient_rows(coefficients)
+    l, m, _ = _degree_order(l_max)
+    write_csv(path, ["l", "m", "a_lm"], zip(l.tolist(), m.tolist(), map(fmt_float, coefficients.tolist())))
 
 
 def write_distance_matrix_csv(path: Path, matrix: DistanceMatrix) -> None:

@@ -5,19 +5,21 @@ and the iterative strength-based member sizing loop. All three read member
 geometry (end nodes, lengths, unit vectors) from one table, _members, so
 they agree to the last bit. The solve numbers the free DOFs in reverse
 Cuthill-McKee node order (each node's three DOFs adjacent), which makes the
-free-DOF stiffness block tridiagonal for blocks of b = max(half-bandwidth,
-_SOLVE_BLOCK) rows; it stores only the diagonal and sub-diagonal blocks,
-about 2 * n_free * b doubles (8.4 MB for the 25x25 study design), and
-factors them by a block Cholesky. That order and the scatter index of the
-assembly depend only on the member ends and the fixed DOFs, so they are
-built once per topology (_band_pattern) and shared by every sizing pass and
-every design of a sweep family. Equilibrium residual and reactions are
-summed member by member, so no dense stiffness matrix is formed on any
-path. The band factor's own pivots are the singularity test: the first
-pivot at or below _PIVOT_RTOL (1e-8) times the largest stiffness diagonal
-marks a mechanism, and its DOF, which moves in that mechanism mode, is
-named. Sizing makes two plain passes, then mixes passes by Anderson
-acceleration on log-areas; it returns the strength sizes of its last solve.
+free-DOF stiffness block tridiagonal for blocks of b = min(n_free,
+max(half-bandwidth, _SOLVE_BLOCK)) rows: one block of all n_free rows when
+there are fewer than _SOLVE_BLOCK free DOFs. It stores only the diagonal
+and sub-diagonal blocks, about 2 * n_free * b doubles (8.4 MB for the 25x25
+study design), and factors them by a block Cholesky. That order and the
+scatter index of the assembly depend only on the member ends and the fixed
+DOFs, so they are built once per topology (_band_pattern) and shared by
+every sizing pass and every design of a sweep family. Equilibrium residual
+and reactions are summed member by member, so no dense stiffness matrix is
+formed on any path. The band factor's own pivots are the singularity
+test: the first pivot at or below _PIVOT_RTOL (1e-8) times the largest
+stiffness diagonal marks a mechanism, and its DOF, which moves in that
+mechanism mode, is named. Sizing makes two plain passes, then mixes passes
+by Anderson acceleration on log-areas; it returns the strength sizes of its
+last solve.
 """
 
 from __future__ import annotations
@@ -93,10 +95,10 @@ class DemandEntry:
     sense: str
 
     def __post_init__(self):
-        norm = math.sqrt(sum(c * c for c in self.direction))
-        if abs(norm - 1.0) > 1e-12:
+        norm = math.hypot(*self.direction)
+        if not abs(norm - 1.0) <= 1e-12:
             raise ValueError(f"direction must be a unit vector, norm was {norm!r}")
-        if self.magnitude < 0:
+        if not self.magnitude >= 0:
             raise ValueError(f"magnitude must be non-negative, got {self.magnitude}")
         if self.sense not in (TENSION, COMPRESSION):
             raise ValueError(f"sense must be {TENSION!r} or {COMPRESSION!r}, got {self.sense!r}")
@@ -137,10 +139,11 @@ def solve(model: TrussModel, load_case: str | None = None) -> AnalysisResult:
 
     The free DOFs are renumbered in reverse Cuthill-McKee node order and K is
     assembled straight into block-tridiagonal storage (diagonal and
-    sub-diagonal blocks of b = max(half-bandwidth, _SOLVE_BLOCK) rows, about
-    2 * n_free * b doubles), then factored block by block. The equilibrium
-    residual and the reactions are B^T (k * B u) - f, summed member by
-    member. No dense K is formed.
+    sub-diagonal blocks of b = min(n_free, max(half-bandwidth, _SOLVE_BLOCK))
+    rows, about 2 * n_free * b doubles; fewer than _SOLVE_BLOCK free DOFs make
+    one block), then factored block by block. The equilibrium residual and
+    the reactions are B^T (k * B u) - f, summed member by member. No dense K
+    is formed.
 
     Axial force per element is (EA/L) * (u_end - u_start) . unit(start->end),
     positive in tension. Raises SingularStructureError (an ArithmeticError)
@@ -246,7 +249,7 @@ def _band_pattern(ends: bytes, fixed: bytes) -> _BandPattern:
     sizing pass, and every design of a sweep family, shares one.
 
     Storage order is reverse Cuthill-McKee, and blocks have
-    b = max(half-bandwidth, _SOLVE_BLOCK) rows, at most the free DOF count.
+    b = min(n_free, max(half-bandwidth, _SOLVE_BLOCK)) rows.
     """
     ends = np.frombuffer(ends, dtype=int).reshape(-1, 2)
     fixed = np.frombuffer(fixed, dtype=bool)

@@ -71,33 +71,6 @@ class SphericalSamples:
             raise ValueError("sample values must be finite")
 
 
-@dataclass(frozen=True)
-class HarmonicExpansion:
-    """Truncated coefficients a_lm of a spherical function.
-
-    Coefficients are stored flat, degree-major: index(l, m) = l*l + l + m,
-    covering 0 <= l <= l_max and -l <= m <= l.
-    """
-
-    l_max: int
-    coefficients: np.ndarray
-
-    def __post_init__(self):
-        expected = (self.l_max + 1) ** 2
-        if self.coefficients.shape != (expected,):
-            raise ValueError(
-                f"expected {expected} coefficients for l_max={self.l_max}, "
-                f"got shape {self.coefficients.shape}"
-            )
-        if not np.all(np.isfinite(self.coefficients)):
-            raise ValueError("coefficients must be finite")
-
-    def rows(self):
-        """Iterate (l, m, a_lm) in storage order as Python numbers, for CSV export."""
-        l, m, _ = _degree_order(self.l_max)
-        return zip(l.tolist(), m.tolist(), self.coefficients.tolist())
-
-
 @lru_cache(maxsize=16)
 def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     x, w = np.polynomial.legendre.leggauss(n)
@@ -143,6 +116,17 @@ def _degree_order(l_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     for column in (l, m, scale):
         column.setflags(write=False)
     return l, m, scale
+
+
+def _coefficient_rows(coefficients) -> tuple[np.ndarray, int]:
+    """Flat coefficient rows as an array, finite, and the l_max that their (l_max+1)**2 width fixes."""
+    rows = np.atleast_1d(np.asarray(coefficients, dtype=float))
+    l_max = math.isqrt(rows.shape[-1]) - 1
+    if l_max < 0 or (l_max + 1) ** 2 != rows.shape[-1]:
+        raise ValueError(f"expected (l_max+1)**2 coefficients per row, got {rows.shape[-1]}")
+    if not np.isfinite(rows).all():
+        raise ValueError("coefficients must be finite")
+    return rows, l_max
 
 
 def _harmonics(l_max: int, theta, phi) -> np.ndarray:
@@ -191,9 +175,10 @@ def build_grid(l_max: int) -> QuadratureGrid:
     return QuadratureGrid(n_theta, 2 * n_theta)
 
 
-def expand(samples: SphericalSamples, l_max: int) -> HarmonicExpansion:
+def expand(samples: SphericalSamples, l_max: int) -> np.ndarray:
     """Project grid samples onto the basis: a_lm = sum w_j dphi f(j,k) Y_lm(j,k).
 
+    Returns the flat row of (l_max+1)**2 coefficients, a_lm at l*l + l + m.
     Exact to round-off for inputs band limited at or below l_max. Raises
     ValueError when the grid is too coarse for the requested degree.
     """
@@ -215,21 +200,21 @@ def expand(samples: SphericalSamples, l_max: int) -> HarmonicExpansion:
     a_sin = np.einsum("lmj,jm->lm", weighted, g_sin)
     l, m, scale = _degree_order(l_max)
     order = np.abs(m)
-    coeffs = scale * np.where(m < 0, a_sin[l, order], a_cos[l, order])
-    return HarmonicExpansion(l_max=l_max, coefficients=coeffs)
+    return scale * np.where(m < 0, a_sin[l, order], a_cos[l, order])
 
 
-def reconstruct_on_grid(expansion: HarmonicExpansion, grid: QuadratureGrid) -> np.ndarray:
-    """Synthesize the truncated series at every point of a grid."""
-    l, m, scale = _degree_order(expansion.l_max)
+def reconstruct_on_grid(coefficients: np.ndarray, grid: QuadratureGrid) -> np.ndarray:
+    """Synthesize the truncated series of one coefficient row at every point of a grid."""
+    coefficients, l_max = _coefficient_rows(coefficients)
+    l, m, scale = _degree_order(l_max)
     order = np.abs(m)
-    plm = _grid_legendre_table(grid.n_theta, expansion.l_max)[l, order]
-    cos_t, sin_t = _grid_trig_table(grid.n_phi, expansion.l_max)
+    plm = _grid_legendre_table(grid.n_theta, l_max)[l, order]
+    cos_t, sin_t = _grid_trig_table(grid.n_phi, l_max)
     trig = np.where((m < 0)[:, None], sin_t[order], cos_t[order])
-    return ((scale * expansion.coefficients)[:, None] * plm).T @ trig
+    return ((scale * coefficients)[:, None] * plm).T @ trig
 
 
-def truncation_error(samples: SphericalSamples, expansion: HarmonicExpansion) -> float:
+def truncation_error(samples: SphericalSamples, coefficients: np.ndarray) -> float:
     """Relative L2 residual of the truncated series against the samples.
 
     The series is synthesized on the samples' grid and both norms use its
@@ -238,11 +223,11 @@ def truncation_error(samples: SphericalSamples, expansion: HarmonicExpansion) ->
     denom = samples.grid.norm2(samples.values)
     if denom == 0.0:
         raise ValueError("relative truncation error is undefined for a zero function")
-    residual = samples.values - reconstruct_on_grid(expansion, samples.grid)
+    residual = samples.values - reconstruct_on_grid(coefficients, samples.grid)
     return samples.grid.norm2(residual) / denom
 
 
-def degree_energies(coefficients: np.ndarray, l_max: int) -> np.ndarray:
+def degree_energies(coefficients: np.ndarray) -> np.ndarray:
     """Per-degree energies of every row of flat coefficients, shape (rows, l_max+1).
 
     Component l of a row is sqrt(sum_m a_lm^2). Each degree spans a
@@ -251,7 +236,8 @@ def degree_energies(coefficients: np.ndarray, l_max: int) -> np.ndarray:
     each row's squares with the dot kernel of block @ block, so a row's
     energies do not depend on the rows batched with it.
     """
-    rows = np.asarray(coefficients, dtype=float).reshape(-1, (l_max + 1) ** 2)
+    rows, l_max = _coefficient_rows(coefficients)
+    rows = rows.reshape(-1, (l_max + 1) ** 2)
     squares = np.empty((len(rows), l_max + 1))
     for l in range(l_max + 1):
         block = rows[:, l * l : (l + 1) * (l + 1)]

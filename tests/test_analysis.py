@@ -1,4 +1,5 @@
 import math
+import time
 import tracemalloc
 from itertools import combinations
 
@@ -238,6 +239,16 @@ class TestMinEnclosingBall:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             min_enclosing_ball(np.empty((0, 3)))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_point_refused_at_once(self, bad):
+        points = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        points[1, 0] = bad
+        started = time.perf_counter()
+        for call in (min_enclosing_ball, complexity_score, lambda p: kmeans(p, k=2)):
+            with pytest.raises(ValueError, match=r"^point 1 has a non-finite component"):
+                call(points)
+        assert time.perf_counter() - started < 0.5
 
     @settings(max_examples=200, deadline=None)
     @given(

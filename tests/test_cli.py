@@ -15,7 +15,7 @@ from harmonode.analysis import kmeans
 from harmonode.cli import main
 from harmonode.fea import SingularStructureError
 from harmonode.generator import GridTrussParams, generate_grid_truss
-from harmonode.model import write_model
+from harmonode.model import TrussModel, write_model
 
 
 @pytest.fixture()
@@ -105,6 +105,13 @@ class TestAnalyze:
         bad.write_text("{ not json")
         assert main(["analyze", str(bad), "--out", str(tmp_path)]) == 1
         assert "error" in capsys.readouterr().err
+
+    def test_model_without_loads_exits_one(self, tmp_path, capsys):
+        model = two_bar_model()
+        path = tmp_path / "unloaded.truss.json"
+        path.write_text(write_model(TrussModel(model.nodes, model.elements, model.supports, ())))
+        assert main(["analyze", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == "error: model defines no loads\n"
 
     @pytest.mark.parametrize("command", ["analyze", "descriptors"])
     def test_model_error_names_the_file(self, example_model_path, tmp_path, capsys, command):

@@ -227,8 +227,7 @@ amplitude_modes = st.sampled_from([AMPLITUDE_MAGNITUDE, AMPLITUDE_SIGNED])
 
 def oracle_energies(demand, delta, amplitude_mode, oversample):
     spec = ForceFunctionSpec(demand, delta=delta, amplitude_mode=amplitude_mode)
-    expansion = expand(sample_geodesic(spec, oversampled_grid(16, oversample)), 16)
-    return degree_energies(expansion.coefficients, 16)[0]
+    return degree_energies(expand(sample_geodesic(spec, oversampled_grid(16, oversample)), 16))[0]
 
 
 class TestGeodesicClosedForm:

@@ -1,3 +1,4 @@
+import math
 import os
 import re
 import subprocess
@@ -25,6 +26,7 @@ from harmonode.fea import (
     SAFETY_FACTOR,
     STEEL_YIELD_STRESS,
     TENSION,
+    DemandEntry,
     SingularStructureError,
     _band_layout,
     _band_pattern,
@@ -535,6 +537,16 @@ class TestExtractDemands:
         assert len(with_reactions[0].entries) == 2
         assert len(with_reactions[2].entries) == 2  # apex support carries ~zero reaction
 
+    def test_applied_loads_of_the_solved_case_only(self):
+        model = two_bar_model(load=2000.0)
+        two_cases = replace(model, loads=model.loads + (PointLoad(2, Point3(500.0, 0.0, 0.0), "wind"),))
+        for case, direction, magnitude in (("default", (0.0, 0.0, -1.0), 2000.0), ("wind", (1.0, 0.0, 0.0), 500.0)):
+            result = solve(two_cases, case)
+            apex = {d.node: d for d in extract_demands(two_cases, result, include_applied_loads=True)}[2]
+            assert len(apex.entries) == 3
+            assert apex.entries[-1].direction == pytest.approx(direction)
+            assert apex.entries[-1].magnitude == pytest.approx(magnitude)
+
     def test_near_zero_force_still_included(self):
         model = two_bar_model()
         result = solve(model)
@@ -545,6 +557,16 @@ class TestExtractDemands:
         patched = replace(result, axial_forces=zeroed)
         demands = {d.node: d for d in extract_demands(model, patched)}
         assert demands[0].entries[0].magnitude == pytest.approx(1e-12)
+
+
+class TestDemandEntry:
+    def test_nan_direction_refused(self):
+        with pytest.raises(ValueError, match="^direction must be a unit vector, norm was nan$"):
+            DemandEntry((math.nan, 0.0, 0.0), 1.0, TENSION)
+
+    def test_nan_magnitude_refused(self):
+        with pytest.raises(ValueError, match="^magnitude must be non-negative, got nan$"):
+            DemandEntry((1.0, 0.0, 0.0), math.nan, TENSION)
 
 
 class TestSizeMembers:

@@ -186,6 +186,13 @@ class TestGenerateGridTruss:
         with pytest.raises(ValueError, match=f"^field '{field}': "):
             small_params(**{field: value})
 
+    def test_non_finite_geometry_caught_by_the_final_validation(self):
+        # Finite controls whose Hermite tangents overflow to inf: only the
+        # validation of the built model can catch the coordinates.
+        params = small_params(control_heights=((-1e308, 1e308, -1e308),) * 2)
+        with pytest.raises(ValueError, match=r"^generated model is invalid: node 0: non-finite coordinates"):
+            generate_grid_truss(params)
+
     def test_values_are_stored_normalized_and_replace_keeps_them(self):
         params = small_params(
             nx=4.0, bay=2, control_heights=[[0, 0.4], [0.2, 0.8]], supports=[16.0, 24], load_per_node=20000

@@ -1,3 +1,4 @@
+import csv
 import math
 
 import numpy as np
@@ -6,8 +7,8 @@ from conftest import oversampled_grid
 from numpy.polynomial import polynomial as npoly
 
 from harmonode import harmonics
+from harmonode.exports import write_expansion_csv
 from harmonode.harmonics import (
-    HarmonicExpansion,
     SphericalSamples,
     build_grid,
     degree_energies,
@@ -22,9 +23,10 @@ def basis(l, m, theta, phi):
     return harmonics._harmonics(l, theta, phi)[..., l * l + l + m]
 
 
-def series(expansion, theta, phi):
+def series(coefficients, theta, phi):
     """The truncated series sum_l sum_m a_lm Y_lm at broadcast (theta, phi)."""
-    return harmonics._harmonics(expansion.l_max, theta, phi) @ expansion.coefficients
+    l_max = math.isqrt(len(coefficients)) - 1
+    return harmonics._harmonics(l_max, theta, phi) @ coefficients
 
 
 def oracle_real_sph_harm(l, m, theta, phi):
@@ -83,24 +85,60 @@ class TestRealSphHarm:
         assert values.shape == (7,)
         assert values[3] == pytest.approx(basis(4, -2, float(theta[3]), 0.5))
         coeffs = np.random.default_rng(3).normal(size=36)
-        expansion = HarmonicExpansion(l_max=5, coefficients=coeffs)
-        values = series(expansion, theta, 0.5)
+        values = series(coeffs, theta, 0.5)
         assert values.shape == (7,)
-        point = series(expansion, float(theta[3]), 0.5)
+        point = series(coeffs, float(theta[3]), 0.5)
         assert isinstance(point, float)
         assert values[3] == pytest.approx(point)
 
 
-class TestHarmonicExpansion:
-    def test_rows_follow_storage_order(self):
+def ones(l_max):
+    """The constant function 1 sampled on build_grid(l_max)."""
+    grid = build_grid(l_max)
+    return SphericalSamples(grid, np.ones((grid.n_theta, grid.n_phi)))
+
+
+# Every function that takes flat coefficient rows, as a call on (row, tmp_path).
+ROW_READERS = {
+    "reconstruct_on_grid": lambda row, tmp: reconstruct_on_grid(row, build_grid(4)),
+    "truncation_error": lambda row, tmp: truncation_error(ones(4), row),
+    "degree_energies": lambda row, tmp: degree_energies(row),
+    "write_expansion_csv": lambda row, tmp: write_expansion_csv(tmp / "expansion.csv", row),
+}
+
+
+class TestCoefficientRows:
+    def test_rows_follow_storage_order(self, tmp_path):
         l_max = 4
         coeffs = np.random.default_rng(5).normal(size=(l_max + 1) ** 2)
-        expansion = HarmonicExpansion(l_max=l_max, coefficients=coeffs)
-        rows = list(expansion.rows())
-        assert [(l, m) for l, m, _ in rows] == [(l, m) for l in range(l_max + 1) for m in range(-l, l + 1)]
+        write_expansion_csv(tmp_path / "expansion.csv", coeffs)
+        with open(tmp_path / "expansion.csv", newline="") as handle:
+            header, *rows = csv.reader(handle)
+        assert header == ["l", "m", "a_lm"]
+        assert [(int(l), int(m)) for l, m, _ in rows] == [(l, m) for l in range(l_max + 1) for m in range(-l, l + 1)]
         for l, m, a in rows:
-            assert type(l) is int and type(m) is int and type(a) is float
-            assert a == expansion.coefficients[l * l + l + m]
+            assert a == repr(float(coeffs[int(l) * int(l) + int(l) + int(m)]))
+
+    @pytest.mark.parametrize("use", ROW_READERS.values(), ids=ROW_READERS.keys())
+    def test_width_must_be_a_square(self, tmp_path, use):
+        use(np.ones(25), tmp_path)
+        for width in (0, 24, 26):
+            with pytest.raises(ValueError, match=f"per row, got {width}$"):
+                use(np.ones(width), tmp_path)
+
+    @pytest.mark.parametrize("use", ROW_READERS.values(), ids=ROW_READERS.keys())
+    def test_values_must_be_finite(self, tmp_path, use):
+        coeffs = np.ones(25)
+        coeffs[7] = math.nan
+        with pytest.raises(ValueError, match="finite"):
+            use(coeffs, tmp_path)
+        coeffs[7] = math.inf
+        with pytest.raises(ValueError, match="finite"):
+            use(coeffs, tmp_path)
+
+    def test_expand_returns_a_flat_row(self):
+        coeffs = expand(ones(5), 5)
+        assert type(coeffs) is np.ndarray and coeffs.shape == (36,)
 
 
 class TestBuildGrid:
@@ -129,9 +167,9 @@ class TestExpand:
     def test_constant_function(self):
         grid = build_grid(16)
         samples = SphericalSamples(grid, np.ones((grid.n_theta, grid.n_phi)))
-        expansion = expand(samples, 16)
-        assert expansion.coefficients[0] == pytest.approx(math.sqrt(4 * math.pi), abs=1e-10)
-        rest = expansion.coefficients.copy()
+        coeffs = expand(samples, 16)
+        assert coeffs[0] == pytest.approx(math.sqrt(4 * math.pi), abs=1e-10)
+        rest = coeffs.copy()
         rest[0] = 0.0
         assert np.abs(rest).max() <= 1e-10
 
@@ -139,9 +177,9 @@ class TestExpand:
         grid = build_grid(16)
         theta, phi = np.meshgrid(grid.theta, grid.phi, indexing="ij")
         samples = SphericalSamples(grid, basis(3, 2, theta, phi))
-        expansion = expand(samples, 16)
-        assert expansion.coefficients[3 * 3 + 3 + 2] == pytest.approx(1.0, abs=1e-10)
-        rest = expansion.coefficients.copy()
+        coeffs = expand(samples, 16)
+        assert coeffs[3 * 3 + 3 + 2] == pytest.approx(1.0, abs=1e-10)
+        rest = coeffs.copy()
         rest[3 * 3 + 3 + 2] = 0.0
         assert np.abs(rest).max() <= 1e-10
 
@@ -158,27 +196,25 @@ class TestExpand:
         g = rng.normal(size=(grid.n_theta, grid.n_phi))
         alpha, beta = 2.5, -1.25
         combined = expand(SphericalSamples(grid, alpha * f + beta * g), 8)
-        separate = alpha * expand(SphericalSamples(grid, f), 8).coefficients + beta * expand(
-            SphericalSamples(grid, g), 8
-        ).coefficients
-        assert np.abs(combined.coefficients - separate).max() <= 1e-10
+        separate = alpha * expand(SphericalSamples(grid, f), 8) + beta * expand(SphericalSamples(grid, g), 8)
+        assert np.abs(combined - separate).max() <= 1e-10
 
 
 class TestReconstruct:
     def test_constant_round_trip(self):
         grid = build_grid(8)
-        expansion = expand(SphericalSamples(grid, np.ones((grid.n_theta, grid.n_phi))), 8)
+        coeffs = expand(SphericalSamples(grid, np.ones((grid.n_theta, grid.n_phi))), 8)
         for theta, phi in ((0.3, 0.1), (2.0, 4.0), (1.5707, 3.1)):
-            assert series(expansion, theta, phi) == pytest.approx(1.0, abs=1e-10)
+            assert series(coeffs, theta, phi) == pytest.approx(1.0, abs=1e-10)
 
     def test_basis_round_trip(self):
         grid = build_grid(8)
         theta, phi = np.meshgrid(grid.theta, grid.phi, indexing="ij")
-        expansion = expand(SphericalSamples(grid, basis(5, -4, theta, phi)), 8)
+        coeffs = expand(SphericalSamples(grid, basis(5, -4, theta, phi)), 8)
         rng = np.random.default_rng(11)
         for _ in range(20):
             t, p = float(rng.uniform(0, math.pi)), float(rng.uniform(0, 2 * math.pi))
-            assert series(expansion, t, p) == pytest.approx(
+            assert series(coeffs, t, p) == pytest.approx(
                 basis(5, -4, t, p), abs=1e-10
             )
 
@@ -186,10 +222,10 @@ class TestReconstruct:
         grid = build_grid(6)
         rng = np.random.default_rng(13)
         samples = SphericalSamples(grid, rng.normal(size=(grid.n_theta, grid.n_phi)))
-        expansion = expand(samples, 6)
-        synth = reconstruct_on_grid(expansion, grid)
+        coeffs = expand(samples, 6)
+        synth = reconstruct_on_grid(coeffs, grid)
         theta, phi = np.meshgrid(grid.theta, grid.phi, indexing="ij")
-        direct = series(expansion, theta, phi)
+        direct = series(coeffs, theta, phi)
         assert np.abs(synth - direct).max() <= 1e-10
 
     def test_truncated_gaussian_pointwise_error_tracks_global(self):
@@ -202,8 +238,8 @@ class TestReconstruct:
         for tc, pc in centers:
             values += np.exp(-20.0 * ((theta - tc) ** 2 + (phi - pc) ** 2))
         samples = SphericalSamples(grid, values)
-        expansion = expand(samples, 16)
-        global_error = truncation_error(samples, expansion)
+        coeffs = expand(samples, 16)
+        global_error = truncation_error(samples, coeffs)
 
         rng = np.random.default_rng(17)
         t = rng.uniform(0.05, math.pi - 0.05, size=2000)
@@ -211,7 +247,7 @@ class TestReconstruct:
         direct = np.zeros_like(t)
         for tc, pc in centers:
             direct += np.exp(-20.0 * ((t - tc) ** 2 + (p - pc) ** 2))
-        residual_rms = np.sqrt(np.mean((series(expansion, t, p) - direct) ** 2))
+        residual_rms = np.sqrt(np.mean((series(coeffs, t, p) - direct) ** 2))
         f_rms = np.sqrt(np.mean(direct**2))
         assert residual_rms / f_rms <= 2.0 * global_error
 
@@ -244,16 +280,16 @@ class TestFrequencyEnergies:
     def test_constant_concentrates_at_zero(self):
         grid = build_grid(8)
         c = -3.5
-        expansion = expand(SphericalSamples(grid, np.full((grid.n_theta, grid.n_phi), c)), 8)
-        energies = degree_energies(expansion.coefficients, expansion.l_max)[0]
+        coeffs = expand(SphericalSamples(grid, np.full((grid.n_theta, grid.n_phi), c)), 8)
+        energies = degree_energies(coeffs)[0]
         assert energies[0] == pytest.approx(abs(c) * math.sqrt(4 * math.pi), rel=1e-10)
         assert np.abs(energies[1:]).max() <= 1e-9
 
     def test_pure_mode_energy(self):
         grid = build_grid(8)
         theta, phi = np.meshgrid(grid.theta, grid.phi, indexing="ij")
-        expansion = expand(SphericalSamples(grid, basis(2, 1, theta, phi)), 8)
-        energies = degree_energies(expansion.coefficients, expansion.l_max)[0]
+        coeffs = expand(SphericalSamples(grid, basis(2, 1, theta, phi)), 8)
+        energies = degree_energies(coeffs)[0]
         assert energies[2] == pytest.approx(1.0, abs=1e-10)
         others = energies.copy()
         others[2] = 0.0
@@ -263,7 +299,7 @@ class TestFrequencyEnergies:
         rng = np.random.default_rng(19)
         l_max = 6
         coeffs = rng.normal(size=(l_max + 1) ** 2)
-        energies = degree_energies(coeffs, l_max)[0]
+        energies = degree_energies(coeffs)[0]
         for l in range(l_max + 1):
             block = coeffs[l * l : (l + 1) * (l + 1)]
             assert energies[l] == pytest.approx(math.sqrt(np.sum(block * block)), rel=1e-12)
@@ -281,15 +317,15 @@ def test_degree_energies_bit_equal_to_per_row_products(l_max):
     rows = rng.normal(size=(40, (l_max + 1) ** 2)) * 10.0 ** rng.uniform(-5, 5, size=(40, 1))
     rows[::7] = 0.0
     rows[3, ::2] = 0.0
-    energies = degree_energies(rows, l_max)
+    energies = degree_energies(rows)
     assert energies.shape == (40, l_max + 1)
     assert np.array_equal(energies, per_row_energies(rows, l_max))
-    single = degree_energies(rows[1].copy(), l_max)[0]
+    single = degree_energies(rows[1].copy())[0]
     assert np.array_equal(single, energies[1])
 
 
 def test_degree_energies_of_no_rows():
-    assert degree_energies(np.empty((0, 25)), 4).shape == (0, 5)
+    assert degree_energies(np.empty((0, 25))).shape == (0, 5)
 
 
 class TestInvariants:
@@ -298,8 +334,7 @@ class TestInvariants:
         l_max = 10
         grid = build_grid(l_max)
         coeffs = rng.normal(size=(l_max + 1) ** 2)
-        expansion = HarmonicExpansion(l_max=l_max, coefficients=coeffs)
-        values = reconstruct_on_grid(expansion, grid)
+        values = reconstruct_on_grid(coeffs, grid)
         norm2 = grid.integrate(values * values)
         assert norm2 == pytest.approx(float(coeffs @ coeffs), rel=1e-8)
 
@@ -310,17 +345,16 @@ class TestInvariants:
         l_max = 5
         grid = oversampled_grid(l_max, 2.0)
         coeffs = rng.normal(size=(l_max + 1) ** 2)
-        base = HarmonicExpansion(l_max=l_max, coefficients=coeffs)
-        reference = degree_energies(base.coefficients, base.l_max)[0]
+        reference = degree_energies(coeffs)[0]
 
         rotation = random_rotation(rng)
         mesh = grid_unit_vectors(grid)
         rotated_mesh = mesh @ rotation  # evaluate f at R^T x == compose with rotation
         theta_r = np.arccos(np.clip(rotated_mesh[..., 2], -1, 1))
         phi_r = np.arctan2(rotated_mesh[..., 1], rotated_mesh[..., 0])
-        rotated_values = series(base, theta_r, phi_r)
+        rotated_values = series(coeffs, theta_r, phi_r)
         rotated = expand(SphericalSamples(grid, rotated_values), l_max)
-        energies = degree_energies(rotated.coefficients, l_max)[0]
+        energies = degree_energies(rotated)[0]
         assert np.allclose(energies, reference, rtol=1e-6, atol=1e-9)
 
     def test_discrete_orthonormality_spot_checks(self):
