@@ -8,6 +8,7 @@ always produce byte-identical files.
 from __future__ import annotations
 
 import csv
+import io
 from pathlib import Path
 
 from .analysis import ClusterAssignment, Embedding
@@ -62,37 +63,35 @@ def read_feature_vectors_csv(path: Path) -> list[FeatureVector]:
     blank id stands for the row's position, counted from 0 as in
     analysis._as_points, and no node id appears twice. The file is UTF-8.
     """
-    _require_utf8(path)
-    with open(path, encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if not header or header[0] != "node_id":
-            raise ValueError(f"{path}: not a feature vector file; `harmonode descriptors` writes one from a model")
-        if len(header) < 2:
-            raise ValueError(f"{path}, line 1: the header names no signature component")
-        vectors = []
-        first_lines: dict[int, int] = {}
-        for row in reader:
-            where = f"{path}, line {reader.line_num}"
-            if len(row) != len(header):
-                raise ValueError(f"{where}: {len(row)} fields, but the header has {len(header)}")
-            try:
-                node = int(row[0]) if row[0] else len(vectors)
-                vectors.append(FeatureVector(components=tuple(map(float, row[1:])), node=node))
-            except ValueError as exc:
-                raise ValueError(f"{where}: {exc}") from exc
-            if first_lines.setdefault(node, reader.line_num) != reader.line_num:
-                raise ValueError(f"{where}: node id {node} already on line {first_lines[node]}")
+    reader = csv.reader(io.StringIO(_utf8_text(path), newline=""))
+    header = next(reader, None)
+    if not header or header[0] != "node_id":
+        raise ValueError(f"{path}: not a feature vector file; `harmonode descriptors` writes one from a model")
+    if len(header) < 2:
+        raise ValueError(f"{path}, line 1: the header names no signature component")
+    vectors = []
+    first_lines: dict[int, int] = {}
+    for row in reader:
+        where = f"{path}, line {reader.line_num}"
+        if len(row) != len(header):
+            raise ValueError(f"{where}: {len(row)} fields, but the header has {len(header)}")
+        try:
+            node = int(row[0]) if row[0] else len(vectors)
+            vectors.append(FeatureVector(components=tuple(map(float, row[1:])), node=node))
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from exc
+        if first_lines.setdefault(node, reader.line_num) != reader.line_num:
+            raise ValueError(f"{where}: node id {node} already on line {first_lines[node]}")
     if not vectors:
         raise ValueError(f"{path}: contains no feature vectors")
     return vectors
 
 
-def _require_utf8(path: Path) -> None:
-    """Raise ValueError naming the line of the first byte of path that is not UTF-8."""
+def _utf8_text(path: Path) -> str:
+    """The text of path; ValueError names the line of its first byte that is not UTF-8."""
     data = Path(path).read_bytes()
     try:
-        data.decode("utf-8")
+        return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         line = data.count(b"\n", 0, exc.start) + 1
         raise ValueError(f"{path}, line {line}: not UTF-8: {exc}") from exc

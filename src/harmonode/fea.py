@@ -4,12 +4,13 @@ Covers the stiffness solve, per-node axial demand extraction, member mass
 and the iterative strength-based member sizing loop. All three read member
 geometry (end nodes, lengths, unit vectors) from one table, _members, so
 they agree to the last bit. The solve numbers the free DOFs in reverse
-Cuthill-McKee node order (each node's three DOFs adjacent), which makes the
-free-DOF stiffness block tridiagonal for blocks of b = min(n_free,
-max(half-bandwidth, _SOLVE_BLOCK)) rows: one block of all n_free rows when
-there are fewer than _SOLVE_BLOCK free DOFs. It stores only the diagonal
-and sub-diagonal blocks, about 2 * n_free * b doubles (8.4 MB for the 25x25
-study design), and factors them by a block Cholesky. That order and the
+Cuthill-McKee node order (each node's three DOFs adjacent), which keeps the
+free-DOF stiffness within w <= ceil(half-bandwidth / 64) blocks of its
+diagonal, for blocks of _SOLVE_BLOCK = 64 rows. It stores only the diagonal
+block and the w blocks left of it in each block row, n_free * 64 * (w + 1)
+doubles up to padding (7.5 MB for the 25x25 study design), and factors them
+by a block Cholesky. Every factor, solve and product then has 64 rows, so
+on OpenBLAS the results do not depend on the thread count. That order and the
 scatter index of the assembly depend only on the member ends and the fixed
 DOFs, so they are built once per topology (_band_pattern) and shared by
 every sizing pass and every design of a sweep family. Equilibrium residual
@@ -53,7 +54,8 @@ _AXES = ("x", "y", "z")
 # 1.5e-11 or less in magnitude (or a failed block factor).
 _PIVOT_RTOL = 1e-8
 _EQUILIBRIUM_RTOL = 1e-8
-# The fewest rows per block of the band factor and its substitutions.
+# Rows per block of the band factor and its substitutions. OpenBLAS changes
+# the bits of Cholesky, LU and a @ a.T with the thread count from 128 rows up.
 _SOLVE_BLOCK = 64
 
 
@@ -138,20 +140,20 @@ def solve(model: TrussModel, load_case: str | None = None) -> AnalysisResult:
     """Solve K u = f at the free DOFs for one load case.
 
     The free DOFs are renumbered in reverse Cuthill-McKee node order and K is
-    assembled straight into block-tridiagonal storage (diagonal and
-    sub-diagonal blocks of b = min(n_free, max(half-bandwidth, _SOLVE_BLOCK))
-    rows, about 2 * n_free * b doubles; fewer than _SOLVE_BLOCK free DOFs make
-    one block), then factored block by block. The equilibrium residual and
-    the reactions are B^T (k * B u) - f, summed member by member. No dense K
-    is formed.
+    assembled straight into block-banded storage (blocks of _SOLVE_BLOCK = 64
+    rows, each block row holding its diagonal block and the at most
+    ceil(half-bandwidth / 64) blocks left of it), then factored block by
+    block. The equilibrium residual and the reactions are B^T (k * B u) - f,
+    summed member by member. No dense K is formed.
 
     Axial force per element is (EA/L) * (u_end - u_start) . unit(start->end),
     positive in tension. Raises SingularStructureError (an ArithmeticError)
     for a mechanism, naming the DOF of the first band pivot at or below 1e-8
     times the largest stiffness diagonal (a DOF that moves in a mechanism
     mode); ArithmeticError naming the node and direction of the largest
-    residual when equilibrium fails its 1e-8 gate; and ValueError when the
-    case has no loads.
+    residual when equilibrium fails its 1e-8 gate or is not finite; and
+    ValueError when the case has no loads or a member's E * A / L is not
+    finite, naming the first such element.
     """
     case = resolve_load_case(model, load_case)
     loads = [l for l in model.loads if l.load_case == case]
@@ -162,6 +164,9 @@ def solve(model: TrussModel, load_case: str | None = None) -> AnalysisResult:
     index, ends, length, unit = _members(model)
     n_dof = 3 * len(node_ids)
     stiffness = np.array([el.youngs_modulus * el.area for el in model.elements]) / length
+    if not np.isfinite(stiffness).all():
+        el = model.elements[int(np.flatnonzero(~np.isfinite(stiffness))[0])]
+        raise ValueError(f"element {el.id}: stiffness E*A/L is not finite (E {el.youngs_modulus}, A {el.area})")
 
     # Each member adds k * [[uu', -uu'], [-uu', uu']] at its two nodes' DOFs.
     grad = np.hstack([-unit, unit])
@@ -192,7 +197,7 @@ def solve(model: TrussModel, load_case: str | None = None) -> AnalysisResult:
     np.add.at(residual, dofs, grad * axial_forces[:, None])
     f_norm = float(np.linalg.norm(f))
     res_norm = float(np.linalg.norm(residual[free])) if free.size else 0.0
-    if res_norm > _EQUILIBRIUM_RTOL * f_norm:
+    if not res_norm <= _EQUILIBRIUM_RTOL * f_norm:
         node, axis = _dof_name(free[np.argmax(np.abs(residual[free]))], node_ids)
         raise ArithmeticError(
             f"equilibrium residual {res_norm:.3e} exceeds {_EQUILIBRIUM_RTOL:.0e} x |f| "
@@ -215,28 +220,27 @@ def _free_displacements(blocks, ends, fixed, f, node_ids) -> np.ndarray:
     SingularStructureError names the DOF of a vanishing band pivot."""
     pattern = _band_pattern(ends.tobytes(), fixed.tobytes())
     order, n = pattern.order, pattern.order.size
-    diag, sub = _block_tridiagonal(blocks, pattern)
-    largest = float(np.diagonal(diag, axis1=1, axis2=2).ravel()[:n].max(initial=0.0))
-    vanishing = _block_cholesky(diag, sub, n, _PIVOT_RTOL * largest)
+    band = _block_banded(blocks, pattern)
+    largest = float(np.diagonal(band[:, 0], axis1=1, axis2=2).ravel()[:n].max(initial=0.0))
+    vanishing = _block_cholesky(band, n, _PIVOT_RTOL * largest)
     if vanishing is not None:
         row, pivot = vanishing
         node, axis = _dof_name(order[row], node_ids)
         raise SingularStructureError(node, axis, pivot, pivot / largest if largest else float("nan"))
     u = np.empty(fixed.size)
-    u[order] = _block_solve(diag, sub, f[order])
+    u[order] = _block_solve(band, f[order])
     return u[~fixed]
 
 
 class _BandPattern(NamedTuple):
-    """Where the entries of (m, k, k) blocks land in block-tridiagonal
-    storage of nb blocks of b rows: keep selects the retained entries and
-    flat gives their index into the flattened storage. order lists the free
-    DOFs in storage order, and pad the rows of the last diagonal block past
-    the matrix, set to identity. Every array is read-only."""
+    """Where the entries of (m, k, k) blocks land in block-banded storage of
+    the given shape: keep selects the retained entries and flat gives their
+    index into the flattened storage. order lists the free DOFs in storage
+    order, and pad the rows of the last diagonal block past the matrix, set
+    to identity. Every array is read-only."""
 
     order: np.ndarray
-    b: int
-    nb: int
+    shape: tuple[int, int, int, int]
     keep: np.ndarray
     flat: np.ndarray
     pad: np.ndarray
@@ -248,18 +252,14 @@ def _band_pattern(ends: bytes, fixed: bytes) -> _BandPattern:
     DOF mask, each as its array's bytes. It depends on nothing else, so every
     sizing pass, and every design of a sweep family, shares one.
 
-    Storage order is reverse Cuthill-McKee, and blocks have
-    b = min(n_free, max(half-bandwidth, _SOLVE_BLOCK)) rows.
+    Storage order is reverse Cuthill-McKee, in blocks of _SOLVE_BLOCK rows.
     """
     ends = np.frombuffer(ends, dtype=int).reshape(-1, 2)
     fixed = np.frombuffer(fixed, dtype=bool)
     order = _rcm_free_dofs(ends, fixed)
-    n = order.size
     rank = np.full(fixed.size, -1)
-    rank[order] = np.arange(n)
-    rows = rank[3 * ends[:, :, None] + np.arange(3)].reshape(-1, 6)
-    half_bandwidth = int((rows.max(axis=1) - np.where(rows >= 0, rows, n).min(axis=1)).max(initial=0))
-    return _band_layout(order, rows, min(n, max(half_bandwidth, _SOLVE_BLOCK)))
+    rank[order] = np.arange(order.size)
+    return _band_layout(order, rank[3 * ends[:, :, None] + np.arange(3)].reshape(-1, 6))
 
 
 def _rcm_free_dofs(ends: np.ndarray, fixed: np.ndarray) -> np.ndarray:
@@ -297,84 +297,86 @@ def _rcm_free_dofs(ends: np.ndarray, fixed: np.ndarray) -> np.ndarray:
     return node_dofs[~fixed[node_dofs]]
 
 
-def _band_layout(order: np.ndarray, rows: np.ndarray, b: int) -> _BandPattern:
+def _band_layout(order: np.ndarray, rows: np.ndarray) -> _BandPattern:
     """The pattern of square blocks at rows (m, k) x rows (m, k) of an
-    n x n matrix, n = order.size, in block-tridiagonal storage of b-row
-    blocks. A negative row is dropped; every retained pair must lie within b
-    of the diagonal."""
-    n = order.size
-    nb = -(-n // b)
+    n x n matrix, n = order.size, in block-banded storage (nb, w + 1, b, b)
+    of b = _SOLVE_BLOCK rows: [i, j] holds block row i against block column
+    i - j, and w is the most block columns a retained entry lies left of its
+    diagonal block. A negative row is dropped."""
+    size = _SOLVE_BLOCK
     r, c = np.broadcast_arrays(rows[:, :, None], rows[:, None, :])
-    keep = (r >= 0) & (c >= 0) & (r // b >= c // b)
+    keep = (r >= 0) & (c >= 0) & (r // size >= c // size)
     r, c = r[keep], c[keep]
-    block = np.where(r // b == c // b, r // b, nb + c // b)
-    flat = (block * b + r % b) * b + c % b
-    pad = np.arange(n - (nb - 1) * b, b)
+    i, j = r // size, r // size - c // size
+    w, nb = int(j.max(initial=0)), -(-order.size // size)
+    flat = ((i * (w + 1) + j) * size + r % size) * size + c % size
+    pad = np.arange(order.size - (nb - 1) * size, size)
     for array in (order, keep, flat, pad):
         array.setflags(write=False)
-    return _BandPattern(order, b, nb, keep, flat, pad)
+    return _BandPattern(order, (nb, w + 1, size, size), keep, flat, pad)
 
 
-def _block_tridiagonal(values: np.ndarray, pattern: _BandPattern):
-    """Sum square blocks values (m, k, k) into block-tridiagonal storage.
+def _block_banded(values: np.ndarray, pattern: _BandPattern) -> np.ndarray:
+    """Sum square blocks values (m, k, k) into block-banded storage.
 
-    Returns views of one array: the diagonal blocks (nb, b, b), stored in
-    full, and the sub-diagonal blocks (nb - 1, b, b), block k holding rows of
-    block k + 1 against columns of block k. Rows past n pad the last diagonal
-    block with an identity. One np.bincount adds every entry in block order
-    from 0.0, as np.add.at does, so a single block (b = n) reproduces a dense
-    assembly bit for bit.
+    Returns one array (nb, w + 1, b, b): [i, j] holds the rows of block i
+    against the columns of block i - j, and the diagonal blocks [i, 0] are
+    stored in full. Rows past n pad the last diagonal block with an
+    identity. One np.bincount adds every entry in block order from 0.0, as
+    np.add.at does, so every stored block is the dense assembly's, bit for
+    bit.
     """
-    b, nb = pattern.b, pattern.nb
-    storage = np.bincount(pattern.flat, weights=values[pattern.keep], minlength=(2 * nb - 1) * b * b)
-    storage = storage.reshape(2 * nb - 1, b, b)
-    storage[nb - 1, pattern.pad, pattern.pad] = 1.0
-    return storage[:nb], storage[nb:]
+    band = np.bincount(pattern.flat, weights=values[pattern.keep], minlength=math.prod(pattern.shape))
+    band = band.reshape(pattern.shape)
+    band[-1, 0, pattern.pad, pattern.pad] = 1.0
+    return band
 
 
-def _block_cholesky(diag: np.ndarray, sub: np.ndarray, n: int, threshold: float):
-    """Factor block-tridiagonal storage in place into L L^T, checking pivots.
+def _block_cholesky(band: np.ndarray, n: int, threshold: float):
+    """Factor block-banded storage in place into L L^T, checking pivots.
 
-    Each step is one block Cholesky, one block solve for the next
-    sub-diagonal block and one block product for the next diagonal block.
+    Block column k takes one block Cholesky, one block solve for each block
+    below it and one block product for each trailing block it updates.
     Returns None when every pivot (squared diagonal of L) of the first n
     rows exceeds threshold, else (row, pivot) of the first that does not,
     row in storage order; the padding rows past n are never named. When
     np.linalg.cholesky refuses a block, unpivoted elimination finds the row.
     """
-    size = diag.shape[1]
-    for k in range(len(diag)):
-        if k:
-            diag[k] -= sub[k - 1] @ sub[k - 1].T
+    nb, width, size = band.shape[:3]
+    for k in range(nb):
         real = min(size, n - k * size)
         try:
-            diag[k] = np.linalg.cholesky(diag[k])
+            band[k, 0] = np.linalg.cholesky(band[k, 0])
         except np.linalg.LinAlgError:
-            row, pivot = _first_vanishing_pivot(diag[k, :real, :real], threshold)
+            row, pivot = _first_vanishing_pivot(band[k, 0, :real, :real], threshold)
             return k * size + row, pivot
-        pivots = np.diagonal(diag[k])[:real] ** 2
+        pivots = np.diagonal(band[k, 0])[:real] ** 2
         vanishing = np.flatnonzero(pivots <= threshold)
         if vanishing.size:  # later ones are round-off of the elimination
             return k * size + int(vanishing[0]), float(pivots[vanishing[0]])
-        if k < len(sub):
-            sub[k] = np.linalg.solve(diag[k], sub[k].T).T
+        below = range(1, min(width, nb - k))
+        for i in below:
+            band[k + i, i] = np.linalg.solve(band[k, 0], band[k + i, i].T).T
+        for i in below:
+            for j in range(1, i + 1):
+                band[k + i, i - j] -= band[k + i, i] @ band[k + j, j].T
     return None
 
 
-def _block_solve(diag: np.ndarray, sub: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+def _block_solve(band: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve L L^T x = rhs by forward, then back substitution over the blocks
     of a factor from _block_cholesky."""
-    nb, size = diag.shape[:2]
+    nb, width, size = band.shape[:3]
     x = np.zeros((nb, size))
     x.reshape(-1)[: rhs.size] = rhs
     for k in range(nb):
-        if k:
-            x[k] -= sub[k - 1] @ x[k - 1]
-        x[k] = np.linalg.solve(diag[k], x[k])
+        for j in range(1, min(width, k + 1)):
+            x[k] -= band[k, j] @ x[k - j]
+        x[k] = np.linalg.solve(band[k, 0], x[k])
     for k in reversed(range(nb)):
-        if k + 1 < nb:
-            x[k] -= sub[k].T @ x[k + 1]
-        x[k] = np.linalg.solve(diag[k].T, x[k])
+        for j in range(1, min(width, nb - k)):
+            x[k] -= band[k + j, j].T @ x[k + j]
+        x[k] = np.linalg.solve(band[k, 0].T, x[k])
     return x.reshape(-1)[: rhs.size]
 
 

@@ -125,6 +125,19 @@ class TestAnalyze:
         assert main([command, str(bad), "--out", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err.startswith(f"error: {bad}: document is not UTF-8: ")
 
+    @pytest.mark.parametrize("command", ["analyze", "descriptors"])
+    def test_overflowing_stiffness_names_its_element(self, example_model_path, tmp_path, capsys, command):
+        # E and A are finite and positive, so the model is valid, but E * A / L is inf.
+        document = json.loads(example_model_path.read_text())
+        for element in document["elements"]:
+            element.update(youngs_modulus=1e308, area=10)
+        path = tmp_path / "overflow.truss.json"
+        path.write_text(json.dumps(document))
+        assert main([command, str(path), "--out", str(tmp_path / "out")]) == 1
+        first = document["elements"][0]["id"]
+        assert capsys.readouterr().err.startswith(f"error: element {first}: stiffness E*A/L is not finite")
+        assert not (tmp_path / "out" / "forces.csv").exists()
+
     def test_load_case_selection(self, tmp_path):
         from harmonode.model import Point3, PointLoad, TrussModel
 

@@ -30,9 +30,9 @@ from harmonode.fea import (
     SingularStructureError,
     _band_layout,
     _band_pattern,
+    _block_banded,
     _block_cholesky,
     _block_solve,
-    _block_tridiagonal,
     extract_demands,
     model_mass,
     size_members,
@@ -174,6 +174,26 @@ class TestSolve:
         # differs with the BLAS thread count cannot move the name.
         model = _grid_truss(lambda supports: supports[:1], grid=15)
         assert _named_under_blas_threads(tmp_path, model) == {("1", "z")}
+
+    def test_study_design_products_independent_of_blas_threads(self, tmp_path):
+        # Every band factor, solve and product has 64 rows; OpenBLAS changes
+        # the bits of such calls with the thread count from 128 rows up.
+        path = tmp_path / "study.truss.json"
+        path.write_text(write_model(_grid_truss(lambda supports: supports, grid=25)))
+        names = ("forces.csv", "displacements.csv", "reactions.csv", "feature_vectors.csv")
+        products = {}
+        for threads in ("1", "2"):
+            for command in ("analyze", "descriptors"):
+                result = subprocess.run(
+                    [sys.executable, "-m", "harmonode.cli", command, str(path), "--out", str(tmp_path / threads)],
+                    capture_output=True,
+                    text=True,
+                    env={**os.environ, "OPENBLAS_NUM_THREADS": threads},
+                    timeout=300,
+                )
+                assert result.returncode == 0, result.stderr
+            products[threads] = [(tmp_path / threads / name).read_bytes() for name in names]
+        assert [name for name, one, two in zip(names, *products.values()) if one != two] == []
 
     def test_equilibrium_residual_names_its_largest_component(self, monkeypatch):
         # Free DOFs of the two-bar frame: apex x, then apex z. Pushing apex x
@@ -337,9 +357,11 @@ def _rotate_model(model: TrussModel, rotation: np.ndarray) -> TrussModel:
 
 class TestBandFactor:
     @pytest.mark.parametrize(
-        "half_bandwidth", [_SOLVE_BLOCK // 2, _SOLVE_BLOCK, 2 * _SOLVE_BLOCK], ids=["below", "at", "above"]
+        "half_bandwidth",
+        [0, _SOLVE_BLOCK // 2, _SOLVE_BLOCK, 2 * _SOLVE_BLOCK, 3 * _SOLVE_BLOCK, 4 * _SOLVE_BLOCK],
+        ids=["diagonal", "below", "at", "two-blocks", "three-blocks", "four-blocks"],
     )
-    @pytest.mark.parametrize("n", [1, 63, 64, 65, 200])
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 200, 300])
     def test_matches_dense_solve_across_block_edges(self, n, half_bandwidth):
         rng = np.random.default_rng(n + half_bandwidth)
         w = min(half_bandwidth, n - 1)
@@ -348,40 +370,45 @@ class TestBandFactor:
         lower = np.tril(rng.normal(size=(n, n))) * (rows[:, None] - rows[None, :] <= w)
         a = lower @ lower.T + (w + 1) * np.eye(n)
         b = rng.normal(size=n)
-        diag, sub = _block_tridiagonal(a[None], _band_layout(rows, rows[None], min(n, max(w, _SOLVE_BLOCK))))
-        assert _block_cholesky(diag, sub, n, 0.0) is None
-        pivots = np.diagonal(diag, axis1=1, axis2=2).ravel()[:n] ** 2
+        band = _block_banded(*_band_values(a, w))
+        assert band.shape[1] - 1 == min(-(-w // _SOLVE_BLOCK), (n - 1) // _SOLVE_BLOCK)
+        assert _block_cholesky(band, n, 0.0) is None
+        pivots = np.diagonal(band[:, 0], axis1=1, axis2=2).ravel()[:n] ** 2
         assert np.allclose(pivots, np.diag(np.linalg.cholesky(a)) ** 2, rtol=1e-12, atol=0.0)
-        x = _block_solve(diag, sub, b)
+        x = _block_solve(band, b)
         expected = np.linalg.solve(a, b)
         assert np.linalg.norm(x - expected) <= 1e-12 * np.linalg.norm(expected)
 
-    def test_single_block_is_the_dense_assembly(self):
-        # At most 64 free DOFs make one block (b = n), and np.bincount keeps
-        # np.add.at's summation order: the dense matrix to the bit.
+    def test_every_block_is_the_dense_assembly(self):
+        # np.bincount keeps np.add.at's summation order: each stored block is
+        # the dense matrix's, to the bit, and the padding is an identity.
         rng = np.random.default_rng(3)
-        ends = rng.integers(0, 12, size=(40, 2))
-        fixed = rng.random(36) < 0.2
+        ends = rng.integers(0, 50, size=(140, 2))
+        fixed = rng.random(150) < 0.2
         pattern = _band_pattern(ends.tobytes(), fixed.tobytes())
         n = int((~fixed).sum())
-        assert pattern.b == n
-        rank = np.full(36, -1)
+        rank = np.full(150, -1)
         rank[pattern.order] = np.arange(n)
         rows = rank[np.hstack([3 * ends[:, :1] + np.arange(3), 3 * ends[:, 1:] + np.arange(3)])]
-        values = rng.normal(size=(40, 6, 6))
-        dense = np.zeros((n, n))
+        values = rng.normal(size=(140, 6, 6))
+        nb, width, size = pattern.shape[:3]
+        dense = np.eye(nb * size)
+        dense[:n, :n] = 0.0
         keep = (rows[:, :, None] >= 0) & (rows[:, None, :] >= 0)
         r, c = np.broadcast_arrays(rows[:, :, None], rows[:, None, :])
         np.add.at(dense, (r[keep], c[keep]), values[keep])
-        diag, sub = _block_tridiagonal(values, pattern)
-        assert sub.shape == (0, n, n)
-        assert np.array_equal(diag[0], dense)
+        band = _block_banded(values, pattern)
+        assert nb > 1 and width > 1
+        for i in range(nb):
+            for j in range(min(width, i + 1)):
+                block = dense[i * size : (i + 1) * size, (i - j) * size : (i - j + 1) * size]
+                assert np.array_equal(band[i, j], block), (i, j)
 
     def test_first_vanishing_pivot_named_not_the_smallest(self):
         # The smallest pivot is row 3; the first at or below the rule is row 1.
         values = np.diag([1.0, 1e-20, 1.0, 1e-30, 1.0])
-        diag, sub = _block_tridiagonal(values[None], _band_layout(np.arange(5), np.arange(5)[None], 5))
-        row, pivot = _block_cholesky(diag, sub, 5, 1e-8)
+        band = _block_banded(values[None], _band_layout(np.arange(5), np.arange(5)[None]))
+        row, pivot = _block_cholesky(band, 5, 1e-8)
         assert row == 1
         assert pivot == pytest.approx(1e-20, rel=1e-12)
 
@@ -403,8 +430,8 @@ class TestBandFactor:
             return eliminated[-1]
 
         monkeypatch.setattr(fea, "_first_vanishing_pivot", spy)
-        diag, sub = _block_tridiagonal(a[None], _band_layout(rows, rows[None], _SOLVE_BLOCK))
-        row, pivot = _block_cholesky(diag, sub, n, 1e-8 * a.diagonal().max())
+        band = _block_banded(*_band_values(a, w))
+        row, pivot = _block_cholesky(band, n, 1e-8 * a.diagonal().max())
         assert (row, len(eliminated)) == (128, 1)
         assert pivot == pytest.approx(-1.0, rel=1e-8)
 
@@ -415,17 +442,29 @@ class TestBandFactor:
         factored = []
         block_cholesky = fea._block_cholesky
 
-        def spy(diag, sub, n, threshold):
-            vanishing = block_cholesky(diag, sub, n, threshold)
-            factored.append((diag.shape[0] * diag.shape[1] - n, threshold, vanishing))
+        def spy(band, n, threshold):
+            vanishing = block_cholesky(band, n, threshold)
+            factored.append((band.shape[0] * band.shape[2] - n, threshold, vanishing))
             return vanishing
 
         monkeypatch.setattr(fea, "_block_cholesky", spy)
         solve(_grid_truss(lambda supports: supports, grid=25))
         [(padding, threshold, vanishing)] = factored
-        assert padding == 59
+        assert padding == 57
         assert threshold > 1.0
         assert vanishing is None
+
+
+def _band_values(a, w):
+    """The entries of a, half-bandwidth w, as square blocks over windows of
+    w + 1 rows, each entry in one block only, and their band pattern."""
+    n = a.shape[0]
+    window = np.arange(w + 1)
+    rows = np.arange(n)[:, None] + window
+    rows = np.where(rows < n, rows, -1)
+    # Window s holds the entries whose smaller index is s: its first row and column.
+    first = (np.minimum.outer(window, window) == 0) & (rows[:, :, None] >= 0) & (rows[:, None, :] >= 0)
+    return np.where(first, a[rows[:, :, None], rows[:, None, :]], 0.0), _band_layout(np.arange(n), rows)
 
 
 class TestBandPattern:
