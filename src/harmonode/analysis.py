@@ -278,10 +278,16 @@ def kmeans(vectors, k: int = DEFAULT_K, seed: int = 0) -> ClusterAssignment:
 
     Each of _KMEANS_RESTARTS restarts draws k-means++ centers from its own
     deterministic stream, then runs Lloyd iterations to an assignment
-    fixpoint (or _KMEANS_MAX_ITER of them). The restarts run together as one
-    batch of array operations, with the same draws and the same arithmetic
-    as one restart at a time. The run with the smallest within-cluster sum
-    of squares wins; ties keep the earliest run. Clusters are finally
+    fixpoint; a restart still moving after _KMEANS_MAX_ITER iterations raises
+    ArithmeticError. The restarts run together as one batch of array
+    operations, with the same draws and the same arithmetic as one restart
+    at a time. Lloyd skips all k distances of a point whose label cannot
+    change, by Hamerly's lower bound on its distance to the other centres;
+    the bound carries a slack for rounding, scaled by the points' magnitude,
+    so labels and objective histories are plain Lloyd's bit for bit (see
+    _lloyd). The run with the smallest within-cluster sum of squares wins,
+    compared exactly, with no absolute tolerance that would favour early
+    runs at small scales; ties keep the earliest run. Clusters are finally
     relabelled in order of increasing bounding-sphere radius (ties by
     smallest member node id), so label 0 is always the most uniform group.
     """
@@ -293,7 +299,7 @@ def kmeans(vectors, k: int = DEFAULT_K, seed: int = 0) -> ClusterAssignment:
     rngs = [np.random.default_rng((seed, run)) for run in range(_KMEANS_RESTARTS)]
     best: tuple[float, np.ndarray, tuple[float, ...]] | None = None
     for labels, history in _lloyd(points, k, _kmeans_plus_plus(points, k, rngs)):
-        if best is None or history[-1] < best[0] - 1e-12:
+        if best is None or history[-1] < best[0]:
             best = (history[-1], labels, history)
     inertia, labels, history = best
 
@@ -322,42 +328,100 @@ def _lloyd(points: np.ndarray, k: int, centroids: np.ndarray) -> list[tuple[np.n
     """Lloyd iterations of every restart from its start in centroids, (runs, k, d).
 
     Returns each run's labels and objective history. A run leaves the batch
-    once its labels stop changing. Distances are direct differences and
-    centroids are sums in point order over counts, so every run gets the
-    bits it would get alone.
+    once its labels stop changing; one still moving after _KMEANS_MAX_ITER
+    iterations raises ArithmeticError, naming k, the run and the iterations.
+    Distances are direct differences and centroids are sums in point order
+    over counts, so every run gets the bits it would get alone.
+
+    Each (run, point) keeps a lower bound on its distance to every centre
+    but its own (Hamerly, "Making k-means even faster", SDM 2010). Every
+    iteration computes each point's squared distance to its own centre, the
+    value plain Lloyd's distance column holds. A point whose distance stays
+    below its bound less a rounding slack keeps its label; only the others
+    get all k distances, their argmin, and the second smallest as their new
+    bound. When the centres move, every bound of a run drops by the run's
+    largest centre shift, and a refill that empties a cluster voids the
+    run's bounds. So labels and histories are plain Lloyd's, bit for bit.
     """
     n, dim = points.shape
     runs = centroids.shape[0]
     centroids = centroids.copy()
     labels = np.full((runs, n), -1)
+    lower = np.full((runs, n), -np.inf)
+    # The slack covers rounding, with u = eps / 2. Centres are means of points
+    # or points, so every distance, shift and bound below is at most twice the
+    # largest point norm; reach doubles that again for the means' rounding.
+    # - A computed distance sqrt(sum((p - c)**2)) is within (d/2 + 2) u of
+    #   the exact one, relative: d + 1 roundings in the sum, halved by the
+    #   root, and the root's own. So a fresh bound exceeds the exact second
+    #   distance by at most (d/2 + 2) u reach.
+    # - An update subtracts shift + slack, where the computed shift may fall
+    #   short by (d/2 + 2) u reach and the sum and difference round by
+    #   u reach each: less than slack, so the excess never grows.
+    # - The test's root and subtraction round by 2 u reach, and comparing the
+    #   computed squares needs another (d/2 + 1) u reach of gap.
+    # That totals (d + 5) u reach, below slack. A skipped point's other
+    # distances thus compute strictly larger than its own, and argmin keeps
+    # its label. The slack scales with the points, so ties and twins far
+    # from the origin always get all k distances.
+    reach = 4.0 * math.sqrt(float((points * points).sum(axis=1).max()))
+    slack = (dim + 4) * np.finfo(float).eps * reach
     histories: list[list[float]] = [[] for _ in range(runs)]
     active = np.arange(runs)
+    flat = centroids.reshape(runs * k, dim)  # a view: centre (run, label) is row run * k + label
+    # Labels start at -1 and bounds at -inf, so the first iteration computes
+    # all k distances of every point, and every run counts as moved.
     for _ in range(_KMEANS_MAX_ITER):
-        dist2 = np.empty((active.size, n, k))
+        own = _dist2_rows(flat[active[:, None] * k + labels[active]], points)
+        batch, stale = np.nonzero(~(np.sqrt(own) < lower[active] - slack))
+        run_of = active[batch]
+        near = points[stale]
+        dist2 = np.empty((stale.size, k))
         for label in range(k):
-            dist2[:, :, label] = ((points - centroids[active, label, None, :]) ** 2).sum(axis=-1)
-        new_labels = np.argmin(dist2, axis=2)
-        inertia = np.take_along_axis(dist2, new_labels[:, :, None], axis=2)[:, :, 0].sum(axis=1)
-        for run, value in zip(active, inertia.tolist()):
+            dist2[:, label] = _dist2_rows(flat[run_of * k + label], near)
+        nearest = np.argmin(dist2, axis=1)
+        rows = np.arange(stale.size)
+        own[batch, stale] = dist2[rows, nearest]
+        dist2[rows, nearest] = np.inf
+        lower[run_of, stale] = np.sqrt(dist2.min(axis=1))
+        moved = run_of[nearest != labels[run_of, stale]]
+        labels[run_of, stale] = nearest
+        for run, value in zip(active, own.sum(axis=1).tolist()):
             histories[run].append(value)
-        moved = (new_labels != labels[active]).any(axis=1)
-        active, new_labels = active[moved], new_labels[moved]
+        active = np.flatnonzero(np.bincount(moved, minlength=runs))
         if not active.size:
             break
-        labels[active] = new_labels
+        before = centroids[active]
+        cluster = np.arange(active.size)[:, None] * k + labels[active]
+        counts = np.bincount(cluster.ravel(), minlength=active.size * k).reshape(active.size, k)
         # Cluster sums accumulate in point order, as members.mean(axis=0) sums them.
-        cluster = (np.arange(active.size)[:, None] * k + new_labels).ravel()
-        counts = np.bincount(cluster, minlength=active.size * k).reshape(active.size, k)
-        cells = (cluster[:, None] * dim + np.arange(dim)).ravel()
-        sums = np.bincount(cells, np.tile(points, (active.size, 1)).ravel(), counts.size * dim)
-        sums = sums.reshape(active.size, k, dim)
+        sums = np.empty((active.size, k, dim))
+        for row, run in enumerate(active):
+            cells = (labels[run, :, None] * dim + np.arange(dim)).ravel()
+            sums[row] = np.bincount(cells, points.ravel(), k * dim).reshape(k, dim)
         # A run that empties a cluster is refilled on its own; so is every run
         # of one-column points, whose mean numpy sums pairwise, not in order.
-        refill = (counts == 0).any(axis=1) | (dim == 1)
+        emptied = (counts == 0).any(axis=1)
+        refill = emptied | (dim == 1)
         centroids[active[~refill]] = (sums / np.maximum(counts, 1)[:, :, None])[~refill]
         for run in active[refill]:
             _refill(points, labels[run], centroids[run])
+        shift = np.sqrt(_dist2_rows(before, centroids[active])).max(axis=1)
+        lower[active] -= (shift + slack)[:, None]
+        lower[active[emptied]] = -np.inf  # the refill moved labels without distances
+    else:
+        raise ArithmeticError(
+            f"k-means with k={k} not converged: run {active[0]} still moving "
+            f"after {_KMEANS_MAX_ITER} Lloyd iterations"
+        )
     return [(labels[run], tuple(histories[run])) for run in range(runs)]
+
+
+def _dist2_rows(centres: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """((points - centres) ** 2).sum(axis=-1) to the bit, reusing centres' storage for the differences."""
+    centres -= points  # the negated differences, which square to the same bits
+    centres *= centres
+    return centres.sum(axis=-1)
 
 
 def _refill(points: np.ndarray, labels: np.ndarray, centroids: np.ndarray) -> None:

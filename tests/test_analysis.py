@@ -55,6 +55,27 @@ def brute_force_ball_radius(points: np.ndarray) -> float:
     return best
 
 
+@pytest.fixture(scope="module")
+def study_signatures() -> np.ndarray:
+    """The 1201 signatures of the benchmark's fixed 25x25 study design."""
+    family = GridTrussParams(nx=25, ny=25, bay=3.0, depth=1.0, control_heights=((0.0, 0.0),) * 4)
+    model = generate_grid_truss(apply_control_sample(family, (0.25, 1.5, 1.75, 0.5)))
+    return np.array([v.components for v in node_feature_vectors(extract_demands(model, solve(model)))])
+
+
+@pytest.fixture(scope="module")
+def kscan_signatures(tmp_path_factory) -> list[np.ndarray]:
+    """The connector-count scan's design set: the README 7x7 family, 8 LHS designs of seed 0, sized."""
+    family = GridTrussParams(nx=7, ny=7, bay=3.0, depth=1.0, control_heights=((0.0, 0.0),) * 4)
+    out = tmp_path_factory.mktemp("kscan")
+    records = sweep(family, latin_hypercube(8, [(0.0, 2.0)] * 4, seed=0), out)
+    assert [r.status for r in records] == ["ok"] * 8
+    return [
+        np.array([v.components for v in read_feature_vectors_csv(out / f"sample_{design:03d}_features.csv")])
+        for design in range(8)
+    ]
+
+
 class TestClassicalMds:
     def test_planar_points_reproduce_distances(self):
         rng = np.random.default_rng(67)
@@ -290,16 +311,10 @@ class TestMinEnclosingBall:
         assert ball.radius == pytest.approx(1.5e160, rel=1e-12, abs=0.0)
         assert ball.center == pytest.approx([1.5e160, 0.0, 0.0], rel=1e-12, abs=0.0)
 
-    def test_kscan_clusters_certify(self, tmp_path):
-        # The connector-count scan's design set: the README 7x7 family, 8 LHS
-        # designs of seed 0, sized; each clustered with k = 2..12. Their
-        # clusters hold mirror twins next to distant points.
-        family = GridTrussParams(nx=7, ny=7, bay=3.0, depth=1.0, control_heights=((0.0, 0.0),) * 4)
-        records = sweep(family, latin_hypercube(8, [(0.0, 2.0)] * 4, seed=0), tmp_path)
-        assert [r.status for r in records] == ["ok"] * 8
-        for design in range(8):
-            vectors = read_feature_vectors_csv(tmp_path / f"sample_{design:03d}_features.csv")
-            points = np.array([v.components for v in vectors])
+    def test_kscan_clusters_certify(self, kscan_signatures):
+        # Each k-scan design clustered with k = 2..12. Their clusters hold
+        # mirror twins next to distant points.
+        for design, points in enumerate(kscan_signatures):
             for k in range(2, 13):
                 labels = kmeans(points, k).labels
                 for label in range(k):
@@ -417,7 +432,7 @@ def oracle_kmeans(points: np.ndarray, k: int, seed: int) -> ClusterAssignment:
         rng = np.random.default_rng((seed, run))
         labels, history = oracle_lloyd(points, k, oracle_kmeans_plus_plus(points, k, rng))
         inertia = history[-1]
-        if best is None or inertia < best[0] - 1e-12:
+        if best is None or inertia < best[0]:
             best = (inertia, labels, history)
     inertia, labels, history = best
     spheres = [min_enclosing_ball(points[labels == label]) for label in range(k)]
@@ -473,6 +488,20 @@ def assert_same_bits(got: ClusterAssignment, want: ClusterAssignment):
         assert np.array_equal(mine.center, theirs.center) and mine.radius == theirs.radius
 
 
+def assert_lloyd_equals_oracle(points: np.ndarray, starts: np.ndarray):
+    """_lloyd's batch from starts, (runs, k, d), against plain Lloyd, one run at a time."""
+    k = starts.shape[1]
+    for (labels, history), start in zip(analysis._lloyd(points, k, starts), starts, strict=True):
+        want_labels, want_history = oracle_lloyd(points, k, start.copy())
+        assert np.array_equal(labels, want_labels) and history == want_history, k
+
+
+def kmeans_starts(points: np.ndarray, k: int, seed: int) -> np.ndarray:
+    """The k-means++ starts kmeans draws for a seed, (runs, k, d)."""
+    rngs = [np.random.default_rng((seed, run)) for run in range(analysis._KMEANS_RESTARTS)]
+    return analysis._kmeans_plus_plus(points, k, rngs)
+
+
 @st.composite
 def clustering_cases(draw):
     """Lattice points with repeated rows, scaled and shifted, and a valid k and seed."""
@@ -514,10 +543,52 @@ class TestBatchedKmeans:
         want_labels, want_history = oracle_lloyd(points, 3, other.copy())
         assert np.array_equal(other_labels, want_labels) and other_history == want_history
 
-    def test_peak_memory_on_the_25x25_study_signatures(self):
-        family = GridTrussParams(nx=25, ny=25, bay=3.0, depth=1.0, control_heights=((0.0, 0.0),) * 4)
-        model = generate_grid_truss(apply_control_sample(family, (0.25, 1.5, 1.75, 0.5)))
-        points = np.array([v.components for v in node_feature_vectors(extract_demands(model, solve(model)))])
+    def test_cluster_emptied_after_bounds_exist_is_refilled_as_one_run_alone(self):
+        points = np.array([[0.0, 3.0], [3.0, 4.0], [3.0, 5.0], [4.0, 1.0], [5.0, 1.0]])
+        start = points[[3, 0, 4]]
+
+        def nearest(centroids):
+            return np.argmin(((points[:, None, :] - centroids) ** 2).sum(axis=-1), axis=1)
+
+        # The first assignment fills every cluster, so every point gets a
+        # bound; the first means then leave cluster 0 without a point.
+        first = nearest(start)
+        assert sorted(set(first.tolist())) == [0, 1, 2]
+        means = np.array([points[first == label].mean(axis=0) for label in range(3)])
+        assert 0 not in nearest(means)
+        other = points[[2, 0, 4]]  # a run that never empties, batched alongside
+        assert_lloyd_equals_oracle(points, np.stack([start, other]))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_bounded_lloyd_equals_plain_lloyd_on_the_25x25_study(self, study_signatures, seed):
+        assert_lloyd_equals_oracle(study_signatures, kmeans_starts(study_signatures, 10, seed))
+
+    def test_bounded_lloyd_equals_plain_lloyd_on_a_kscan_design(self, kscan_signatures):
+        for k in range(2, 13):
+            assert_lloyd_equals_oracle(kscan_signatures[0], kmeans_starts(kscan_signatures[0], k, 0))
+
+    def test_unconverged_run_is_refused(self, monkeypatch):
+        points = np.random.default_rng(113).normal(size=(60, 5))
+        assert len(kmeans(points, k=4, seed=0).objective_history) > 2
+        monkeypatch.setattr(analysis, "_KMEANS_MAX_ITER", 2)
+        refusal = r"k=4 not converged: run \d+ still moving after 2 Lloyd iterations"
+        with pytest.raises(ArithmeticError, match=refusal):
+            kmeans(points, k=4, seed=0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=clustering_cases(), halvings=st.integers(0, 20))
+    def test_best_restart_does_not_depend_on_the_scale(self, case, halvings):
+        # Scaling by a power of two is exact, so every inertia scales exactly
+        # and the same restart must win at both scales. The halvings reach
+        # inertias far below one.
+        points, k, seed = case
+        points = np.ldexp(points, -halvings)
+        small, large = kmeans(points * 2.0**-20, k, seed), kmeans(points * 2.0**20, k, seed)
+        assert np.array_equal(small.labels, large.labels)
+        assert small.inertia * 2.0**80 == large.inertia
+
+    def test_peak_memory_on_the_25x25_study_signatures(self, study_signatures):
+        points = study_signatures
         tracemalloc.start()
         try:
             kmeans(points, k=10, seed=0)
