@@ -18,7 +18,10 @@ sphere scales with sin(theta_i): the degree-0 energy of one unit bump is
 on a quadrature grid and projected. The geodesic kernel, the default, uses
 the great-circle angle gamma and is isotropic, so the descriptor is rotation
 invariant to round-off. It needs no grid: by the Funk-Hecke theorem, the
-coefficients are exactly a_lm = lambda_l * sum_i a_i Y_lm(u_i).
+coefficients are exactly a_lm = lambda_l * sum_i a_i Y_lm(u_i). Y_lm(u_i)
+comes straight from the unit vector, by a recurrence in z and in
+(x + i y)^m, with no angle formed: the sign of a zero coordinate does not
+matter, and a demand reflected in a coordinate plane has bit-equal energies.
 """
 
 from __future__ import annotations
@@ -49,8 +52,9 @@ AMPLITUDE_SIGNED = "signed"
 
 DEFAULT_DELTA = 20.0
 
-# Nodes expanded together in closed form; bounds the per-entry harmonic scratch.
-_BLOCK_NODES = 16
+# Harmonic values per closed-form block, entries times (l_max+1)**2: whole
+# nodes up to this budget (907 entries at l_max 16) bound the scratch at any l_max.
+_BLOCK_VALUES = 2**18
 
 
 @dataclass(frozen=True)
@@ -149,10 +153,14 @@ def node_expansions(
     """Harmonic coefficients of the nodes' force functions, one row per demand.
 
     Shape (len(demands), (l_max+1)**2), each row flat degree-major as in
-    harmonics.expand. Geodesic expansions are closed form and ignore grid.
-    Coordinate force functions are sampled on grid (default build_grid(l_max))
-    and projected. The settings are checked before any demand is read, so a
-    call with no demands checks them alone.
+    harmonics.expand. Geodesic expansions are closed form and ignore grid:
+    the entries' unit vectors and amplitudes go straight into the Cartesian
+    harmonic recurrence, in blocks of whole nodes of at most _BLOCK_VALUES
+    harmonic values, and each node sums its own run of entries, so a row does
+    not depend on the nodes expanded with it and signed zeros in a direction
+    do not change it. Coordinate force functions are sampled on grid (default
+    build_grid(l_max)) and projected. The settings are checked before any
+    demand is read, so a call with no demands checks them alone.
     """
     if kernel not in (KERNEL_COORDINATE, KERNEL_GEODESIC):
         raise ValueError(f"unknown kernel {kernel!r}")
@@ -167,31 +175,51 @@ def node_expansions(
             row[:] = expand(build_force_function(spec, grid), l_max)
         return coefficients
 
-    eigenvalues = _geodesic_eigenvalues(delta, l_max)[_degree_order(l_max)[0]]
-    for first in range(0, len(specs), _BLOCK_NODES):
-        block = specs[first : first + _BLOCK_NODES]
-        directions = np.array([e.direction for spec in block for e in spec.demand.entries])
-        x, y, z = directions.reshape(-1, 3).T
-        amplitudes = np.array([a for spec in block for a in spec.amplitudes()])
-        theta, phi = np.arccos(np.clip(z, -1.0, 1.0)), np.arctan2(y, x)
+    eigenvalues = _geodesic_eigenvalues(delta, l_max)[_degree_order(l_max)[0], None]
+    counts = np.array([len(spec.demand.entries) for spec in specs], dtype=int)
+    ends = np.cumsum(counts)
+    directions = np.array([e.direction for spec in specs for e in spec.demand.entries], dtype=float).reshape(-1, 3)
+    amplitudes = np.array([a for spec in specs for a in spec.amplitudes()], dtype=float)
+    for first, last in _node_blocks(counts, (l_max + 1) ** 2):
+        nodes = first + np.flatnonzero(counts[first:last])
+        if len(nodes) == 0:
+            continue
         # entries are in node order, so each non-empty node sums one contiguous run
-        counts = np.array([len(spec.demand.entries) for spec in block])
-        starts = (np.cumsum(counts) - counts)[counts > 0]
-        sums = np.add.reduceat(amplitudes[:, None] * _harmonics(l_max, theta, phi), starts, axis=0)
-        coefficients[first + np.flatnonzero(counts)] = eigenvalues * sums
+        low, high = ends[first] - counts[first], ends[last - 1]
+        weighted = _harmonics(l_max, directions[low:high], amplitudes[low:high])
+        sums = np.add.reduceat(weighted, ends[nodes] - counts[nodes] - low, axis=1)
+        coefficients[nodes] = (eigenvalues * sums).T
     return coefficients
+
+
+def _node_blocks(counts: np.ndarray, width: int):
+    """Runs [first, last) of whole nodes, in order, whose entries times width fit _BLOCK_VALUES.
+
+    A node whose entries alone exceed the budget forms a run of its own.
+    """
+    ends = np.cumsum(counts)
+    capacity = _BLOCK_VALUES // width
+    first = 0
+    while first < len(counts):
+        last = max(first + 1, int(np.searchsorted(ends, ends[first] - counts[first] + capacity, side="right")))
+        yield first, last
+        first = last
 
 
 def _geodesic_eigenvalues(delta: float, l_max: int) -> np.ndarray:
     """lambda_l = 2 pi * integral over [0, pi] of exp(-delta g^2) P_l(cos g) sin(g) dg.
 
-    Gauss-Legendre in g, not cos(g), whose arccos is ill-conditioned at the
-    bump's peak g = 0. 64 nodes reach round-off up to delta = 50; four per
-    degree resolve P_l at high l_max.
+    Past g = sqrt(200 / delta) the integrand is below e^-200 of its peak, so
+    Gauss-Legendre nodes in g span [0, min(pi, sqrt(200 / delta))]: the bump
+    fills the span at every delta, and delta g^2 never overflows. On that span
+    64 nodes reach round-off at any delta; four per degree resolve P_l at high
+    l_max. The rule is in g, not cos(g), whose arccos is ill-conditioned at
+    the bump's peak g = 0.
     """
     x, w = _gauss_legendre(max(64, 4 * (l_max + 1)))
-    gamma = 0.5 * np.pi * (x + 1.0)
-    weights = np.pi * np.pi * w * np.exp(-delta * gamma * gamma) * np.sin(gamma)
+    end = min(np.pi, math.sqrt(200.0 / delta))
+    gamma = 0.5 * end * (x + 1.0)
+    weights = np.pi * end * w * np.exp(-delta * gamma * gamma) * np.sin(gamma)
     return np.polynomial.legendre.legvander(np.cos(gamma), l_max).T @ weights
 
 

@@ -79,28 +79,41 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-def _legendre_table(l_max: int, x: np.ndarray) -> np.ndarray:
-    """Fully normalized associated Legendre values, shape (l_max+1, l_max+1, len(x)).
+@lru_cache(maxsize=16)
+def _legendre_q_coefficients(l_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The factors a[l, m], b[l, m] and the diagonal Q_mm of _legendre_q, shaped to broadcast over points."""
+    l = np.arange(l_max + 1.0)[:, None]
+    m = np.arange(l_max + 1.0)[None, :]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a = np.where(m < l, np.sqrt((4.0 * l * l - 1.0) / (l * l - m * m)), 0.0)
+        b = np.where(m < l - 1.0, np.sqrt(((l - 1.0) ** 2 - m * m) / (4.0 * (l - 1.0) ** 2 - 1.0)), 0.0)
+    k = np.arange(1.0, l_max + 1.0)
+    diagonal = np.cumprod(np.append(1.0 / math.sqrt(4.0 * math.pi), -np.sqrt((2.0 * k + 1.0) / (2.0 * k))))
+    for factor in (a, b, diagonal):
+        factor.setflags(write=False)
+    return a[..., None], b[..., None], diagonal
 
-    Entry [l, m] holds P_lm(x) normalized so the real harmonics built from it
-    are orthonormal; Condon-Shortley phase included. The (l, m) recurrence
-    uses only ratios of small integers, stable with no factorial overflow
-    well past l = 64.
+
+def _legendre_q(l_max: int, z: np.ndarray):
+    """Yield, for l = 0..l_max, Q_lm(z) = P_lm(z) / (1 - z^2)^(m/2) for m = 0..l, shape (l+1, len(z)).
+
+    P_lm is fully normalized, so the real harmonics built from it are
+    orthonormal, with the Condon-Shortley phase. Q_lm is a polynomial in z:
+    Q_mm is a constant, and one degree step
+    Q_lm = a_lm (z Q_l-1,m - b_lm Q_l-2,m) updates every order m < l at once
+    (at m = l - 1 there is no Q_l-2,m term). The factors are ratios of small
+    integers, with no factorial overflow well past l = 64.
     """
-    x = np.asarray(x, dtype=float)
-    s = np.sqrt(np.clip(1.0 - x * x, 0.0, None))
-    table = np.zeros((l_max + 1, l_max + 1) + x.shape)
-    table[0, 0] = 1.0 / math.sqrt(4.0 * math.pi)
-    for m in range(1, l_max + 1):
-        table[m, m] = -math.sqrt((2.0 * m + 1.0) / (2.0 * m)) * s * table[m - 1, m - 1]
-    for m in range(l_max):
-        table[m + 1, m] = math.sqrt(2.0 * m + 3.0) * x * table[m, m]
-    for m in range(l_max + 1):
-        for l in range(m + 2, l_max + 1):
-            a = math.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))
-            b = math.sqrt(((l - 1.0) ** 2 - m * m) / (4.0 * (l - 1.0) ** 2 - 1.0))
-            table[l, m] = a * (x * table[l - 1, m] - b * table[l - 2, m])
-    return table
+    a, b, diagonal = _legendre_q_coefficients(l_max)
+    older = previous = np.empty((0, len(z)))
+    for l in range(l_max + 1):
+        q = np.empty((l + 1, len(z)))
+        np.multiply(z, previous, out=q[:l])
+        q[: len(older)] -= b[l, : len(older)] * older
+        q[:l] *= a[l, :l]
+        q[l] = diagonal[l]
+        yield q
+        older, previous = previous, q
 
 
 @lru_cache(maxsize=16)
@@ -129,23 +142,42 @@ def _coefficient_rows(coefficients) -> tuple[np.ndarray, int]:
     return rows, l_max
 
 
-def _harmonics(l_max: int, theta, phi) -> np.ndarray:
-    """Every real harmonic up to l_max at broadcast (theta, phi).
+def _harmonics(l_max: int, units: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """weights_i * Y_lm(u_i) for unit rows u_i, shape ((l_max+1)**2, n), row l*l + l + m.
 
-    The last axis holds the (l_max+1)**2 harmonics in storage order.
+    Since x + i y = sin(theta) e^(i phi), Y_lm is scale_m Q_lm(z) times the
+    real part of (x + i y)^m for m >= 0 and the imaginary part of
+    (x + i y)^|m| for m < 0. The powers come from the complex product
+    c, s <- x c - y s, x s + y c, seeded with the weights (and the basis scale
+    sqrt(2) from m = 1 on), so no angle is formed: a signed zero coordinate
+    gives signed zeros, and the reflections x -> -x, y -> -y and z -> -z flip
+    the signs of whole rows exactly.
     """
-    theta, phi = np.broadcast_arrays(np.asarray(theta, dtype=float), np.asarray(phi, dtype=float))
-    l, m, scale = _degree_order(l_max)
-    order = np.abs(m)
-    plm = np.moveaxis(_legendre_table(l_max, np.cos(theta)), (0, 1), (-2, -1))[..., l, order]
-    m_phi = phi[..., None] * np.arange(l_max + 1)
-    trig = np.where(m < 0, np.sin(m_phi)[..., order], np.cos(m_phi)[..., order])
-    return scale * plm * trig
+    x, y, z = units.T
+    c = np.empty((l_max + 1, len(z)))
+    s = np.empty_like(c)
+    c[0], s[0] = weights, 0.0
+    if l_max:
+        scaled = math.sqrt(2.0) * weights
+        c[1], s[1] = scaled * x, scaled * y
+    for m in range(1, l_max):
+        c[m + 1] = x * c[m] - y * s[m]
+        s[m + 1] = x * s[m] + y * c[m]
+    out = np.empty(((l_max + 1) ** 2, len(z)))
+    for l, q in enumerate(_legendre_q(l_max, z)):
+        np.multiply(q, c[: l + 1], out=out[l * l + l : (l + 1) ** 2])
+        np.multiply(q[:0:-1], s[l:0:-1], out=out[l * l : l * l + l])
+    return out
 
 
 @lru_cache(maxsize=16)
 def _grid_legendre_table(n_theta: int, l_max: int) -> np.ndarray:
-    table = _legendre_table(l_max, _gauss_legendre(n_theta)[0])
+    """Fully normalized P_lm at the Gauss nodes, shape (l_max+1, l_max+1, n_theta): Q_lm times sin^m(theta)."""
+    x = _gauss_legendre(n_theta)[0]
+    table = np.zeros((l_max + 1, l_max + 1, n_theta))
+    for l, q in enumerate(_legendre_q(l_max, x)):
+        table[l, : l + 1] = q
+    table *= np.sqrt(1.0 - x * x) ** np.arange(l_max + 1.0)[:, None]
     table.setflags(write=False)
     return table
 

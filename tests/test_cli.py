@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -189,6 +190,13 @@ class TestDescriptors:
         assert main(["descriptors", str(two_bar_path), "--lmax", "4", "--out", str(out)]) == 0
         rows = read_csv(out / "feature_vectors.csv")
         assert [k for k in rows[0] if k.startswith("fv_")] == [f"fv_{i}" for i in range(5)]
+
+    def test_huge_delta_runs_without_a_warning(self, example_model_path, tmp_path, capsys):
+        # delta g^2 once overflowed on the full span [0, pi] of the eigenvalue rule.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["descriptors", str(example_model_path), "--delta", "1e308", "--out", str(tmp_path)]) == 0
+        assert capsys.readouterr().err == ""
 
     def test_delta_changes_vectors(self, two_bar_path, tmp_path):
         out_a, out_b = tmp_path / "d5", tmp_path / "d300"

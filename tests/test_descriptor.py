@@ -1,4 +1,6 @@
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,12 +9,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from harmonode.descriptor import (
+    _BLOCK_VALUES,
     AMPLITUDE_MAGNITUDE,
     AMPLITUDE_SIGNED,
     KERNEL_COORDINATE,
     KERNEL_GEODESIC,
     FeatureVector,
     ForceFunctionSpec,
+    _geodesic_eigenvalues,
+    _node_blocks,
     build_force_function,
     distance_matrix,
     energy_vectors,
@@ -22,7 +27,8 @@ from harmonode.descriptor import (
     wrap_angle,
 )
 from harmonode.analysis import kmeans, min_enclosing_ball
-from harmonode.fea import COMPRESSION, TENSION, DemandEntry, NodalDemand
+from harmonode.fea import COMPRESSION, TENSION, DemandEntry, NodalDemand, extract_demands, solve
+from harmonode.generator import GridTrussParams, apply_control_sample, generate_grid_truss
 from harmonode.harmonics import DEFAULT_OVERSAMPLE, build_grid, degree_energies, expand
 
 SAMPLERS = {KERNEL_COORDINATE: build_force_function, KERNEL_GEODESIC: sample_geodesic}
@@ -225,6 +231,26 @@ def random_demands(draw):
 amplitude_modes = st.sampled_from([AMPLITUDE_MAGNITUDE, AMPLITUDE_SIGNED])
 
 
+def mirror(demand, axis):
+    """The demand reflected in the plane normal to one coordinate axis."""
+    entries = []
+    for entry in demand.entries:
+        direction = list(entry.direction)
+        direction[axis] = -direction[axis]
+        entries.append(DemandEntry(tuple(direction), entry.magnitude, entry.sense))
+    return NodalDemand(demand.node, tuple(entries))
+
+
+def composite_eigenvalues(delta, l_max, panels=1000):
+    """lambda_l by 64-point Gauss-Legendre on each of `panels` equal panels of [0, pi]."""
+    x, w = np.polynomial.legendre.leggauss(64)
+    edges = np.linspace(0.0, np.pi, panels + 1)
+    half = 0.5 * np.diff(edges)[:, None]
+    gamma = (edges[:-1, None] + half * (x + 1.0)).ravel()
+    weights = (2.0 * np.pi * half * w).ravel() * np.exp(-delta * gamma * gamma) * np.sin(gamma)
+    return np.polynomial.legendre.legvander(np.cos(gamma), l_max).T @ weights
+
+
 def oracle_energies(demand, delta, amplitude_mode, oversample):
     spec = ForceFunctionSpec(demand, delta=delta, amplitude_mode=amplitude_mode)
     return degree_energies(expand(sample_geodesic(spec, oversampled_grid(16, oversample)), 16))[0]
@@ -292,6 +318,53 @@ class TestGeodesicClosedForm:
         for demand, row in zip(demands, batched):
             assert np.array_equal(row, node_expansions([demand])[0])
         assert not batched[::7].any()
+
+    def test_blocks_hold_whole_nodes_within_the_budget(self):
+        width = 49 * 49  # l_max 48: 109 entries fit the budget
+        counts = np.array([5, 0, 60, 60, 200, 3, 0, 0, 108, 1, 109, 4])
+        blocks = list(_node_blocks(counts, width))
+        assert blocks == [(0, 3), (3, 4), (4, 5), (5, 8), (8, 10), (10, 11), (11, 12)]
+        for first, last in blocks:
+            assert counts[first:last].sum() * width <= _BLOCK_VALUES or last == first + 1
+        assert list(_node_blocks(np.zeros(0, dtype=int), width)) == []
+
+    def test_rows_do_not_depend_on_the_blocks(self):
+        rng = np.random.default_rng(73)
+        demands = [random_demand(rng, node=i) for i in range(40)]
+        demands[5] = NodalDemand(5, ())
+        demands[17] = random_demand(rng, n_entries=150, node=17)  # over the budget alone
+        counts = np.array([len(d.entries) for d in demands])
+        assert len(list(_node_blocks(counts, 49 * 49))) >= 4
+        batched = node_expansions(demands, l_max=48, amplitude_mode=AMPLITUDE_SIGNED)
+        for demand, row in zip(demands, batched):
+            assert np.array_equal(row, node_expansions([demand], l_max=48, amplitude_mode=AMPLITUDE_SIGNED)[0])
+
+    @pytest.mark.parametrize("axis", [(0.0, 0.0, 1.0), (0.0, 0.0, -1.0), (-1.0, 0.0, 0.0), (0.0, -1.0, 0.0)])
+    def test_signs_of_zero_do_not_matter(self, axis):
+        zeros = [i for i, c in enumerate(axis) if c == 0.0]
+        demands = []
+        for signs in itertools.product((1.0, -1.0), repeat=len(zeros)):
+            direction = list(axis)
+            for i, sign in zip(zeros, signs):
+                direction[i] = math.copysign(0.0, sign)
+            demands.append(demand_of([direction], [3.0]))
+        rows = node_expansions(demands)
+        assert rows[0].any()
+        for row in rows[1:]:
+            assert np.array_equal(row, rows[0])
+
+    @pytest.mark.parametrize("amplitude_mode", [AMPLITUDE_MAGNITUDE, AMPLITUDE_SIGNED])
+    def test_mirror_images_have_bit_equal_energies(self, amplitude_mode):
+        # Each reflection flips the sign of whole coefficients exactly, and
+        # energies square them.
+        rng = np.random.default_rng(71)
+        demands = [random_demand(rng, node=i) for i in range(200)]
+        energies = degree_energies(node_expansions(demands, amplitude_mode=amplitude_mode))
+        for axis in range(3):
+            mirrored = [mirror(demand, axis) for demand in demands]
+            images = degree_energies(node_expansions(mirrored, amplitude_mode=amplitude_mode))
+            unequal = int((images != energies).any(axis=1).sum())
+            assert unequal == 0, f"{unequal} of 200 demands mirrored in {'xyz'[axis]} changed energies"
 
     def test_l_max_validated(self):
         with pytest.raises(ValueError, match="l_max"):
@@ -440,3 +513,32 @@ def test_energy_vectors_bit_equal_to_per_node_energies(flat_model, kernel):
         blocks = [a[l * l : (l + 1) * (l + 1)] for l in range(17)]
         assert vector.components == tuple(math.sqrt(float(b @ b)) for b in blocks)
     assert energy_vectors([], node_expansions([], kernel=kernel)) == []
+
+
+@pytest.mark.parametrize("l_max", [16, 48])
+def test_eigenvalues_match_a_composite_rule(l_max):
+    # A narrow bump needs the truncated span: on all of [0, pi], 64 nodes
+    # missed lambda_l by 2e-8 at delta 1e3 and by 100% at 1e8.
+    for delta in (50.0, 1e3, 1e5, 1e8):
+        reference = composite_eigenvalues(delta, l_max)
+        error = np.abs(_geodesic_eigenvalues(delta, l_max) - reference).max()
+        assert error <= 1e-13 * np.abs(reference).max(), delta
+
+
+@pytest.fixture(scope="module")
+def study_demands():
+    """The demands of the benchmark's fixed 25x25 study design."""
+    family = GridTrussParams(nx=25, ny=25, bay=3.0, depth=1.0, control_heights=((0.0, 0.0),) * 4)
+    model = generate_grid_truss(apply_control_sample(family, (0.25, 1.5, 1.75, 0.5)))
+    return extract_demands(model, solve(model))
+
+
+@pytest.mark.parametrize("l_max", [16, 48])
+def test_geodesic_scratch_is_bounded(study_demands, l_max):
+    tracemalloc.start()
+    try:
+        coefficients = node_expansions(study_demands, l_max=l_max)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - coefficients.nbytes < 12e6

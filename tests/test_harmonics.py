@@ -18,15 +18,23 @@ from harmonode.harmonics import (
 )
 
 
+def harmonics_at(l_max, theta, phi):
+    """Every real harmonic up to l_max at the unit vectors of broadcast (theta, phi), harmonic axis first."""
+    theta, phi = np.broadcast_arrays(np.asarray(theta, dtype=float), np.asarray(phi, dtype=float))
+    units = np.stack([np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)], axis=-1)
+    values = harmonics._harmonics(l_max, units.reshape(-1, 3), np.ones(theta.size))
+    return values.reshape((-1,) + theta.shape)
+
+
 def basis(l, m, theta, phi):
     """The real harmonic of degree l, order m at broadcast (theta, phi)."""
-    return harmonics._harmonics(l, theta, phi)[..., l * l + l + m]
+    return harmonics_at(l, theta, phi)[l * l + l + m][()]
 
 
 def series(coefficients, theta, phi):
     """The truncated series sum_l sum_m a_lm Y_lm at broadcast (theta, phi)."""
     l_max = math.isqrt(len(coefficients)) - 1
-    return harmonics._harmonics(l_max, theta, phi) @ coefficients
+    return np.tensordot(coefficients, harmonics_at(l_max, theta, phi), axes=1)[()]
 
 
 def oracle_real_sph_harm(l, m, theta, phi):
@@ -90,6 +98,35 @@ class TestRealSphHarm:
         point = series(coeffs, float(theta[3]), 0.5)
         assert isinstance(point, float)
         assert values[3] == pytest.approx(point)
+
+
+class TestCartesianKernel:
+    def test_weights_scale_each_column(self):
+        rng = np.random.default_rng(31)
+        units = rng.normal(size=(50, 3))
+        units /= np.linalg.norm(units, axis=1, keepdims=True)
+        weights = rng.uniform(-2.0, 2.0, 50)
+        weighted = harmonics._harmonics(16, units, weights)
+        assert weighted.shape == (17 * 17, 50)
+        assert np.allclose(weighted, weights * harmonics._harmonics(16, units, np.ones(50)), rtol=1e-14, atol=1e-15)
+
+    def test_reflections_flip_whole_rows_exactly(self):
+        rng = np.random.default_rng(37)
+        units = rng.normal(size=(50, 3))
+        units /= np.linalg.norm(units, axis=1, keepdims=True)
+        weights = rng.uniform(-2.0, 2.0, 50)
+        l, m, _ = harmonics._degree_order(16)
+        order = np.abs(m)
+        signs = {
+            0: np.where(m < 0, -1.0, 1.0) * (-1.0) ** order,  # Re and Im of (-x + i y)^m
+            1: np.where(m < 0, -1.0, 1.0),  # the conjugate
+            2: (-1.0) ** (l + order),  # parity of Q_lm in z
+        }
+        rows = harmonics._harmonics(16, units, weights)
+        for axis, sign in signs.items():
+            mirrored = units.copy()
+            mirrored[:, axis] *= -1.0
+            assert np.array_equal(harmonics._harmonics(16, mirrored, weights), sign[:, None] * rows), axis
 
 
 def ones(l_max):
