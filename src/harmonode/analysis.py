@@ -187,21 +187,32 @@ def _stress(coordinates: np.ndarray, given_rows) -> float:
 
 
 def min_enclosing_ball(points, tol: float = DEFAULT_BALL_TOL, max_iter: int = 200_000) -> BoundingSphere:
-    """Smallest sphere covering all points, certified to within tol of the optimum.
+    """Smallest sphere covering all points, exact to round-off when its support
+    is found, else certified to within tol of the optimum.
 
-    Pairwise Frank-Wolfe on the dual (Lacoste-Julien and Jaggi, "On the
-    Global Linear Convergence of Frank-Wolfe Optimization Variants", NeurIPS
-    2015; the problem is Yildirim's, SIAM J. Optim. 2008). The points are
-    first centred on their mean, and the mean is added back to the returned
-    center, so a cluster whose radius is tiny next to its distance from the
-    origin (mirror twins, symmetry orbits) keeps its digits. A convex
-    weighting w of the points gives the center c = w @ p. For any center x,
-    max_i |p_i - x|^2 >= w @ |p - x|^2 >= w @ |p - c|^2, so
-    lower = sqrt(w @ |p - c|^2) is a certified lower bound on the optimal
+    The points are first centred on their mean, and the mean is added back
+    to the returned center, so a cluster whose radius is tiny next to its
+    distance from the origin (mirror twins, symmetry orbits) keeps its
+    digits. A convex weighting w of the points gives the center c = w @ p.
+    For any center x, max_i |p_i - x|^2 >= w @ |p - x|^2 >= w @ |p - c|^2,
+    so lower = sqrt(w @ |p - c|^2) is a certified lower bound on the optimal
     radius and upper = max_i |p_i - c| an upper one; computed from the
     distances themselves, the lower bound cannot cancel.
 
-    Starting from two far-apart points, each step moves weight from one
+    The weights start at the midpoint of two far-apart points. If that does
+    not certify, an exact step solves for the ball of a support (Gaertner,
+    "Fast and robust smallest enclosing balls", ESA 1999): from the two
+    points and the farthest one, each pivot takes the circumcentre of the
+    support in its affine hull, drops the point of most negative barycentric
+    weight, or else adds the farthest uncovered point. A support of
+    non-negative weights whose circumsphere covers every point to round-off
+    is the optimal ball, and its weights replace the start. A ball's support
+    has at most d + 1 points, so the step takes at most d + 1 pivots, the
+    two-point start counted as the first; each counts against max_iter.
+    Otherwise pairwise Frank-Wolfe runs from the start on the dual
+    (Lacoste-Julien and Jaggi, "On the Global Linear Convergence of
+    Frank-Wolfe Optimization Variants", NeurIPS 2015; the problem is
+    Yildirim's, SIAM J. Optim. 2008): each step moves weight from one
     supporting point straight to the farthest point, with an exact line
     search; the supporting point is the one whose step raises the lower
     bound most. A step that moves all of its weight drops that point from
@@ -236,7 +247,8 @@ def min_enclosing_ball(points, tol: float = DEFAULT_BALL_TOL, max_iter: int = 20
     weights = np.zeros(n)
     weights[a] = weights[b] = 0.5
 
-    for iteration in range(max_iter + 1):
+    iteration = 0
+    while True:
         center = weights @ pts
         dist2 = ((pts - center) ** 2).sum(axis=1)
         far = int(np.argmax(dist2))
@@ -245,11 +257,18 @@ def min_enclosing_ball(points, tol: float = DEFAULT_BALL_TOL, max_iter: int = 20
         upper, lower = math.sqrt(upper2), math.sqrt(lower2)
         if upper - lower <= tol * upper:
             break
-        if iteration == max_iter:
+        if iteration >= max_iter:
             raise ArithmeticError(
                 f"minimum enclosing ball of {n} points not certified after {max_iter} "
                 f"iterations: relative gap {(upper - lower) / upper:.3e} > tol {tol:g}"
             )
+        if iteration == 0:
+            # The two-point start is the step's first pivot: its circumcentre is the midpoint.
+            pivots, exact = _support_ball(pts, [a, b, far], min(pts.shape[1] + 1, max_iter) - 1)
+            iteration += 1 + pivots
+            if exact is not None:
+                weights = exact
+            continue
         support = np.flatnonzero(weights > 0)
         slope = upper2 - dist2[support]
         curvature = ((pts[support] - pts[far]) ** 2).sum(axis=1)
@@ -259,9 +278,48 @@ def min_enclosing_ball(points, tol: float = DEFAULT_BALL_TOL, max_iter: int = 20
         step = float(steps[best])
         weights[support[best]] -= step  # exactly 0 when the step takes all of it
         weights[far] += step
+        iteration += 1
 
     center = np.ldexp(center, exponent) + mean
     return BoundingSphere(center=center, radius=math.ldexp(upper, exponent))
+
+
+def _support_ball(pts: np.ndarray, support: list[int], budget: int) -> tuple[int, np.ndarray | None]:
+    """The exact step of min_enclosing_ball: (pivots taken, weights of the
+    optimal ball over all points, or None when the pivots run out or a
+    support is degenerate).
+
+    With A the support's rows less its first, G = A A^T, the circumcentre
+    p_0 + A^T y solves 2 G y = diag(G), and (1 - sum(y), y) are its
+    barycentric weights. A point counts as covered within 16 (d + m) eps of
+    the radius squared, for m support points: the round-off of the center
+    and of a squared distance, with room to spare. min_enclosing_ball
+    returns the exact covering radius, so this slack never hides a point.
+    """
+    n, dim = pts.shape
+    for pivot in range(1, budget + 1):
+        span = pts[support[1:]] - pts[support[0]]
+        gram = span @ span.T
+        try:
+            y = np.linalg.solve(2.0 * gram, np.diagonal(gram))
+        except np.linalg.LinAlgError:
+            return pivot, None
+        weights = np.concatenate([[1.0 - y.sum()], y])
+        if not np.isfinite(weights).all():
+            return pivot, None
+        worst = int(np.argmin(weights))
+        if weights[worst] < 0.0:
+            del support[worst]
+            continue
+        dist2 = ((pts - weights @ pts[support]) ** 2).sum(axis=1)
+        far = int(np.argmax(dist2))
+        radius2 = float(weights @ dist2[support])
+        if dist2[far] <= radius2 * (1.0 + 16 * (dim + len(support)) * np.finfo(float).eps):
+            full = np.zeros(n)
+            full[support] = weights
+            return pivot, full
+        support.append(far)
+    return budget, None
 
 
 def complexity_score(vectors) -> float:

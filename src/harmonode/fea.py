@@ -9,7 +9,7 @@ free-DOF stiffness within w <= ceil(half-bandwidth / 64) blocks of its
 diagonal, for blocks of _SOLVE_BLOCK = 64 rows. It stores only the diagonal
 block and the w blocks left of it in each block row, n_free * 64 * (w + 1)
 doubles up to padding (7.5 MB for the 25x25 study design), and factors them
-by a block Cholesky. Every factor, solve and product then has 64 rows, so
+by a block Cholesky. Every factor, inverse and product then has 64 rows, so
 on OpenBLAS the results do not depend on the thread count. That order and the
 scatter index of the assembly depend only on the member ends and the fixed
 DOFs, so they are built once per topology (_band_pattern) and shared by
@@ -335,12 +335,15 @@ def _block_banded(values: np.ndarray, pattern: _BandPattern) -> np.ndarray:
 def _block_cholesky(band: np.ndarray, n: int, threshold: float):
     """Factor block-banded storage in place into L L^T, checking pivots.
 
-    Block column k takes one block Cholesky, one block solve for each block
-    below it and one block product for each trailing block it updates.
-    Returns None when every pivot (squared diagonal of L) of the first n
-    rows exceeds threshold, else (row, pivot) of the first that does not,
-    row in storage order; the padding rows past n are never named. When
-    np.linalg.cholesky refuses a block, unpivoted elimination finds the row.
+    Block column k takes one block Cholesky, checks its pivots, and then
+    stores the inverse of that diagonal factor in its place, so every later
+    use of it, here and in _block_solve, is a matrix product. The column
+    then takes one product for each block below it and one for each
+    trailing block it updates. Returns None when every pivot (squared
+    diagonal of L) of the first n rows exceeds threshold, else (row, pivot)
+    of the first that does not, row in storage order; the padding rows past
+    n are never named. When np.linalg.cholesky refuses a block, unpivoted
+    elimination finds the row.
     """
     nb, width, size = band.shape[:3]
     for k in range(nb):
@@ -354,9 +357,10 @@ def _block_cholesky(band: np.ndarray, n: int, threshold: float):
         vanishing = np.flatnonzero(pivots <= threshold)
         if vanishing.size:  # later ones are round-off of the elimination
             return k * size + int(vanishing[0]), float(pivots[vanishing[0]])
+        band[k, 0] = np.linalg.inv(band[k, 0])
         below = range(1, min(width, nb - k))
         for i in below:
-            band[k + i, i] = np.linalg.solve(band[k, 0], band[k + i, i].T).T
+            band[k + i, i] = band[k + i, i] @ band[k, 0].T
         for i in below:
             for j in range(1, i + 1):
                 band[k + i, i - j] -= band[k + i, i] @ band[k + j, j].T
@@ -365,18 +369,18 @@ def _block_cholesky(band: np.ndarray, n: int, threshold: float):
 
 def _block_solve(band: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve L L^T x = rhs by forward, then back substitution over the blocks
-    of a factor from _block_cholesky."""
+    of a factor from _block_cholesky, whose diagonal blocks hold inverses."""
     nb, width, size = band.shape[:3]
     x = np.zeros((nb, size))
     x.reshape(-1)[: rhs.size] = rhs
     for k in range(nb):
         for j in range(1, min(width, k + 1)):
             x[k] -= band[k, j] @ x[k - j]
-        x[k] = np.linalg.solve(band[k, 0], x[k])
+        x[k] = band[k, 0] @ x[k]
     for k in reversed(range(nb)):
         for j in range(1, min(width, nb - k)):
             x[k] -= band[k + j, j].T @ x[k + j]
-        x[k] = np.linalg.solve(band[k, 0].T, x[k])
+        x[k] = band[k, 0].T @ x[k]
     return x.reshape(-1)[: rhs.size]
 
 

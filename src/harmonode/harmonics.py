@@ -266,12 +266,19 @@ def degree_energies(coefficients: np.ndarray) -> np.ndarray:
     rotation-closed subspace, so these are invariant to rigid rotation of the
     underlying function. One batched (1 x k)(k x 1) product per degree sums
     each row's squares with the dot kernel of block @ block, so a row's
-    energies do not depend on the rows batched with it.
+    energies do not depend on the rows batched with it. Each block is first
+    scaled by the power of two that brings its largest |a_lm| into [0.5, 1),
+    and its root scaled back: exact, so the squares neither underflow nor
+    overflow, and where unscaled squares stay normal the energies keep their
+    bits.
     """
     rows, l_max = _coefficient_rows(coefficients)
     rows = rows.reshape(-1, (l_max + 1) ** 2)
+    degrees = np.arange(l_max + 1)
+    _, exponents = np.frexp(np.maximum.reduceat(np.abs(rows), degrees**2, axis=1))
+    rows = np.ldexp(rows, -np.repeat(exponents, 2 * degrees + 1, axis=1))
     squares = np.empty((len(rows), l_max + 1))
-    for l in range(l_max + 1):
+    for l in degrees:
         block = rows[:, l * l : (l + 1) * (l + 1)]
         squares[:, l] = (block[:, None, :] @ block[:, :, None])[:, 0, 0]
-    return np.sqrt(squares)
+    return np.ldexp(np.sqrt(squares), exponents)

@@ -55,6 +55,33 @@ def brute_force_ball_radius(points: np.ndarray) -> float:
     return best
 
 
+def frank_wolfe_ball_radius(points: np.ndarray, tol: float = 1e-7) -> float:
+    """Reference: min_enclosing_ball's radius by pairwise Frank-Wolfe alone,
+    with no exact step: the same centring, scaling, start and stop rule."""
+    points = np.asarray(points, dtype=float)
+    mean = points.mean(axis=0)
+    _, exponent = math.frexp(float(np.abs(points - mean).max(initial=0.0)))
+    pts = np.ldexp(points - mean, -exponent)
+    a = int(np.argmax((pts * pts).sum(axis=1)))
+    b = int(np.argmax(((pts - pts[a]) ** 2).sum(axis=1)))
+    weights = np.zeros(len(pts))
+    weights[a] = weights[b] = 0.5
+    while True:
+        dist2 = ((pts - weights @ pts) ** 2).sum(axis=1)
+        far = int(np.argmax(dist2))
+        upper, lower = math.sqrt(float(dist2[far])), math.sqrt(float(weights @ dist2))
+        if upper - lower <= tol * upper:
+            return math.ldexp(upper, exponent)
+        support = np.flatnonzero(weights > 0)
+        slope = dist2[far] - dist2[support]
+        curvature = ((pts[support] - pts[far]) ** 2).sum(axis=1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            steps = np.fmin(weights[support], slope / (2.0 * curvature))
+        best = int(np.argmax(steps * slope - steps * steps * curvature))
+        weights[support[best]] -= steps[best]
+        weights[far] += steps[best]
+
+
 @pytest.fixture(scope="module")
 def study_signatures() -> np.ndarray:
     """The 1201 signatures of the benchmark's fixed 25x25 study design."""
@@ -74,6 +101,17 @@ def kscan_signatures(tmp_path_factory) -> list[np.ndarray]:
         np.array([v.components for v in read_feature_vectors_csv(out / f"sample_{design:03d}_features.csv")])
         for design in range(8)
     ]
+
+
+@pytest.fixture(scope="module")
+def kscan_clusters(kscan_signatures) -> list[tuple[tuple[int, int, int], np.ndarray]]:
+    """Every cluster of the connector-count scan, k = 2..12 per design, keyed (design, k, label)."""
+    clusters = []
+    for design, points in enumerate(kscan_signatures):
+        for k in range(2, 13):
+            labels = kmeans(points, k).labels
+            clusters.extend(((design, k, label), points[labels == label]) for label in range(k))
+    return clusters
 
 
 class TestClassicalMds:
@@ -311,20 +349,16 @@ class TestMinEnclosingBall:
         assert ball.radius == pytest.approx(1.5e160, rel=1e-12, abs=0.0)
         assert ball.center == pytest.approx([1.5e160, 0.0, 0.0], rel=1e-12, abs=0.0)
 
-    def test_kscan_clusters_certify(self, kscan_signatures):
+    def test_kscan_clusters_certify(self, kscan_clusters):
         # Each k-scan design clustered with k = 2..12. Their clusters hold
         # mirror twins next to distant points.
-        for design, points in enumerate(kscan_signatures):
-            for k in range(2, 13):
-                labels = kmeans(points, k).labels
-                for label in range(k):
-                    members = points[labels == label]
-                    ball = min_enclosing_ball(members, max_iter=1_000)
-                    distances = np.sqrt(((members - ball.center) ** 2).sum(axis=1))
-                    # Twins 1e-10 apart lie 3e4 from the origin: the stored
-                    # center is exact only to its coordinates' spacing.
-                    slack = np.linalg.norm(np.spacing(ball.center))
-                    assert distances.max() <= ball.radius * (1.0 + 1e-12) + slack, (design, k, label)
+        for key, members in kscan_clusters:
+            ball = min_enclosing_ball(members, max_iter=1_000)
+            distances = np.sqrt(((members - ball.center) ** 2).sum(axis=1))
+            # Twins 1e-10 apart lie 3e4 from the origin: the stored
+            # center is exact only to its coordinates' spacing.
+            slack = np.linalg.norm(np.spacing(ball.center))
+            assert distances.max() <= ball.radius * (1.0 + 1e-12) + slack, key
 
     def test_power_of_two_scaling_is_exact(self):
         points = np.random.default_rng(109).normal(size=(40, 17))
@@ -332,6 +366,49 @@ class TestMinEnclosingBall:
         scaled = min_enclosing_ball(points * 2.0**-40)
         assert scaled.radius == ball.radius * 2.0**-40
         assert np.array_equal(scaled.center, ball.center * 2.0**-40)
+
+    def test_exact_step_matches_brute_force(self):
+        # Up to 8 points in 1 to 5 dimensions: the exact step finds every
+        # support, so the radius is the optimum to round-off, not to tol.
+        rng = np.random.default_rng(113)
+        for _ in range(100):
+            points = rng.normal(size=(int(rng.integers(1, 9)), int(rng.integers(1, 6)))) * rng.uniform(0.1, 20.0)
+            oracle = brute_force_ball_radius(points)
+            assert min_enclosing_ball(points).radius == pytest.approx(oracle, rel=1e-12, abs=0.0)
+
+    def test_never_above_frank_wolfe(self, kscan_clusters):
+        rng = np.random.default_rng(127)
+        random_sets = [rng.normal(size=(int(rng.integers(2, 60)), 17)) for _ in range(40)]
+        for points in random_sets + [members for _, members in kscan_clusters]:
+            assert min_enclosing_ball(points).radius <= frank_wolfe_ball_radius(points)
+
+    def test_kscan_radii_stable_under_perturbation(self, kscan_clusters):
+        # The optimal radius moves by at most the largest point displacement;
+        # that alone moves a twin pair's round-off radius by order one. Beyond
+        # it, a radius certified only to tol could move by up to tol.
+        rng = np.random.default_rng(131)
+        for key, members in kscan_clusters:
+            moved = members * (1.0 + 1e-15 * rng.uniform(-1.0, 1.0, size=members.shape))
+            shift = np.sqrt(((moved - members) ** 2).sum(axis=1)).max()
+            radius = min_enclosing_ball(members).radius
+            assert abs(min_enclosing_ball(moved).radius - radius) <= shift + 1e-12 * radius, key
+
+    def test_out_of_pivots_falls_back_to_frank_wolfe(self, monkeypatch):
+        # This cloud needs more than d + 1 pivots; Frank-Wolfe then runs from
+        # the two-point start, as with no exact step at all.
+        points = np.random.default_rng(105).normal(size=(1000, 17))
+        outcomes = []
+        support_ball = analysis._support_ball
+
+        def spy(*args):
+            outcomes.append(support_ball(*args))
+            return outcomes[-1]
+
+        monkeypatch.setattr(analysis, "_support_ball", spy)
+        ball = min_enclosing_ball(points)
+        assert outcomes == [(17, None)]
+        assert ball.radius == frank_wolfe_ball_radius(points)
+        assert np.sqrt(((points - ball.center) ** 2).sum(axis=1)).max() <= ball.radius * (1.0 + 1e-12)
 
 
 class TestComplexityScore:

@@ -198,6 +198,13 @@ class TestDescriptors:
             assert main(["descriptors", str(example_model_path), "--delta", "1e308", "--out", str(tmp_path)]) == 0
         assert capsys.readouterr().err == ""
 
+    def test_huge_delta_keeps_non_zero_energies(self, example_model_path, tmp_path):
+        # Coefficients near 1e-304 once squared to zero energies.
+        assert main(["descriptors", str(example_model_path), "--delta", "1e308", "--out", str(tmp_path)]) == 0
+        rows = read_csv(tmp_path / "feature_vectors.csv")
+        components = np.array([[float(row[f"fv_{l}"]) for l in range(17)] for row in rows])
+        assert components.shape == (5, 17) and (components > 0.0).all()
+
     def test_delta_changes_vectors(self, two_bar_path, tmp_path):
         out_a, out_b = tmp_path / "d5", tmp_path / "d300"
         main(["descriptors", str(two_bar_path), "--delta", "5", "--out", str(out_a)])

@@ -373,7 +373,8 @@ class TestBandFactor:
         band = _block_banded(*_band_values(a, w))
         assert band.shape[1] - 1 == min(-(-w // _SOLVE_BLOCK), (n - 1) // _SOLVE_BLOCK)
         assert _block_cholesky(band, n, 0.0) is None
-        pivots = np.diagonal(band[:, 0], axis1=1, axis2=2).ravel()[:n] ** 2
+        # The factor's diagonal blocks hold their inverses.
+        pivots = np.diagonal(band[:, 0], axis1=1, axis2=2).ravel()[:n] ** -2.0
         assert np.allclose(pivots, np.diag(np.linalg.cholesky(a)) ** 2, rtol=1e-12, atol=0.0)
         x = _block_solve(band, b)
         expected = np.linalg.solve(a, b)

@@ -361,6 +361,18 @@ def test_degree_energies_bit_equal_to_per_row_products(l_max):
     assert np.array_equal(single, energies[1])
 
 
+@pytest.mark.parametrize("power", [-1000, -540, 540, 1000])
+def test_degree_energies_scale_exactly_at_extreme_magnitudes(power):
+    # Squares of rows near 2**-540 underflow and near 2**540 overflow; the
+    # energies of every row must still be the unit-scale ones times 2**power.
+    rng = np.random.default_rng(abs(power))
+    rows = rng.uniform(0.5, 1.0, size=(6, 25)) * rng.choice([-1.0, 1.0], size=(6, 25))
+    rows[2] = 0.0
+    expected = np.ldexp(degree_energies(rows), power)
+    assert np.array_equal(degree_energies(np.ldexp(rows, power)), expected)
+    assert (expected[[0, 1, 3, 4, 5]] > 0.0).all()
+
+
 def test_degree_energies_of_no_rows():
     assert degree_energies(np.empty((0, 25))).shape == (0, 5)
 
