@@ -68,14 +68,13 @@ def _as_points(vectors) -> tuple[np.ndarray, tuple[int, ...]]:
     position; rows of a plain array are numbered. FeatureVectors of
     different lengths, and a row with a non-finite component, are refused.
     """
-    seq = list(vectors)
-    if not seq:
+    seq = vectors if isinstance(vectors, np.ndarray) else list(vectors)
+    if len(seq) == 0:
         return np.empty((0, 0)), ()
     if not hasattr(seq[0], "components"):
         points = np.atleast_2d(np.asarray(seq, dtype=float))
-        finite = np.isfinite(points).all(axis=1)
-        if not finite.all():
-            row = int(np.argmin(finite))
+        if not np.isfinite(points).all():
+            row = int(np.argmin(np.isfinite(points).all(axis=1)))
             raise ValueError(f"point {row} has a non-finite component: {points[row].tolist()}")
         return points, tuple(range(points.shape[0]))
     lengths = sorted({len(v) for v in seq})
@@ -187,139 +186,132 @@ def _stress(coordinates: np.ndarray, given_rows) -> float:
 
 
 def min_enclosing_ball(points, tol: float = DEFAULT_BALL_TOL, max_iter: int = 200_000) -> BoundingSphere:
-    """Smallest sphere covering all points, exact to round-off when its support
-    is found, else certified to within tol of the optimum.
+    """Smallest sphere covering all points, exact to round-off.
 
-    The points are first centred on their mean, and the mean is added back
-    to the returned center, so a cluster whose radius is tiny next to its
-    distance from the origin (mirror twins, symmetry orbits) keeps its
-    digits. A convex weighting w of the points gives the center c = w @ p.
-    For any center x, max_i |p_i - x|^2 >= w @ |p - x|^2 >= w @ |p - c|^2,
-    so lower = sqrt(w @ |p - c|^2) is a certified lower bound on the optimal
-    radius and upper = max_i |p_i - c| an upper one; computed from the
-    distances themselves, the lower bound cannot cancel.
-
-    The weights start at the midpoint of two far-apart points. If that does
-    not certify, an exact step solves for the ball of a support (Gaertner,
-    "Fast and robust smallest enclosing balls", ESA 1999): from the two
-    points and the farthest one, each pivot takes the circumcentre of the
-    support in its affine hull, drops the point of most negative barycentric
-    weight, or else adds the farthest uncovered point. A support of
-    non-negative weights whose circumsphere covers every point to round-off
-    is the optimal ball, and its weights replace the start. A ball's support
-    has at most d + 1 points, so the step takes at most d + 1 pivots, the
-    two-point start counted as the first; each counts against max_iter.
-    Otherwise pairwise Frank-Wolfe runs from the start on the dual
-    (Lacoste-Julien and Jaggi, "On the Global Linear Convergence of
-    Frank-Wolfe Optimization Variants", NeurIPS 2015; the problem is
-    Yildirim's, SIAM J. Optim. 2008): each step moves weight from one
-    supporting point straight to the farthest point, with an exact line
-    search; the supporting point is the one whose step raises the lower
-    bound most. A step that moves all of its weight drops that point from
-    the support.
-
-    Iteration stops once upper - lower <= tol * upper. The reported radius
-    is the exact covering radius of the final center, computed in centred
-    coordinates, where every point lies inside it. Adding the mean back
-    rounds the returned center, so about it the points are covered only up
-    to np.linalg.norm(np.spacing(center)); for a tight cluster far from the
-    origin that slack can exceed the radius. Deterministic given input
-    order. Raises ArithmeticError, naming the point count, the iterations
-    run and the gap reached, if the gap is still open after max_iter steps:
-    no uncertified radius is returned.
+    The points are centred on their mean, added back to the returned center,
+    so a tight cluster far from the origin (mirror twins) keeps its digits.
+    Unless the ball on the point farthest from the mean and the point
+    farthest from that one covers every point, _covering_walk runs from their
+    midpoint. Convex weights w give the center c = w @ p, and for any x,
+    max_i |p_i - x|^2 >= w @ |p - x|^2 >= w @ |p - c|^2, so lower =
+    sqrt(w @ |p - c|^2) bounds the optimum from below. The radius returned,
+    upper = max_i |p_i - c| in centred coordinates, must pass upper - lower
+    <= tol * upper. Adding the mean back rounds the center, so about it the
+    points are covered only to np.linalg.norm(np.spacing(center)), which can
+    exceed a tiny radius. Raises ValueError unless tol is finite and positive
+    and max_iter >= 1, and ArithmeticError, naming the point count, after
+    max_iter walk steps and drops or if the gap exceeds tol.
     """
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be a finite number > 0, got {tol!r}")
+    if not max_iter >= 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter!r}")
     pts, _ = _as_points(points)
-    n = pts.shape[0]
-    if n == 0:
+    if (n := pts.shape[0]) == 0:
         raise ValueError("at least one point is required")
-    mean = pts.mean(axis=0)
+    mean = pts.sum(axis=0) / n  # pts.mean(axis=0), bit for bit, with less overhead
     # Exact power-of-two scaling keeps squared distances from overflow and underflow.
     _, exponent = math.frexp(float(np.abs(pts - mean).max(initial=0.0)))
     pts = np.ldexp(pts - mean, -exponent)
 
-    # Start from the midpoint of the point farthest from the mean and the
-    # point farthest from that one.
-    a = int(np.argmax((pts * pts).sum(axis=1)))
+    a = int((pts * pts).sum(axis=1).argmax())
     from_a = ((pts - pts[a]) ** 2).sum(axis=1)
-    b = int(np.argmax(from_a))
+    b = int(from_a.argmax())
     if from_a[b] == 0.0:  # all points coincide
         return BoundingSphere(center=np.ldexp(pts[0], exponent) + mean, radius=0.0)
     weights = np.zeros(n)
     weights[a] = weights[b] = 0.5
-
-    iteration = 0
-    while True:
+    center = weights @ pts
+    dist2 = ((pts - center) ** 2).sum(axis=1)
+    far = int(dist2.argmax())
+    if dist2[far] > max(dist2[a], dist2[b]):
+        weights = _covering_walk(pts, center, 0.5 * (dist2[far] - dist2), far, max_iter)
         center = weights @ pts
         dist2 = ((pts - center) ** 2).sum(axis=1)
-        far = int(np.argmax(dist2))
-        upper2 = float(dist2[far])
-        lower2 = float(weights @ dist2)
-        upper, lower = math.sqrt(upper2), math.sqrt(lower2)
-        if upper - lower <= tol * upper:
-            break
-        if iteration >= max_iter:
-            raise ArithmeticError(
-                f"minimum enclosing ball of {n} points not certified after {max_iter} "
-                f"iterations: relative gap {(upper - lower) / upper:.3e} > tol {tol:g}"
-            )
-        if iteration == 0:
-            # The two-point start is the step's first pivot: its circumcentre is the midpoint.
-            pivots, exact = _support_ball(pts, [a, b, far], min(pts.shape[1] + 1, max_iter) - 1)
-            iteration += 1 + pivots
-            if exact is not None:
-                weights = exact
-            continue
-        support = np.flatnonzero(weights > 0)
-        slope = upper2 - dist2[support]
-        curvature = ((pts[support] - pts[far]) ** 2).sum(axis=1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            steps = np.fmin(weights[support], slope / (2.0 * curvature))
-        best = int(np.argmax(steps * slope - steps * steps * curvature))
-        step = float(steps[best])
-        weights[support[best]] -= step  # exactly 0 when the step takes all of it
-        weights[far] += step
-        iteration += 1
-
-    center = np.ldexp(center, exponent) + mean
-    return BoundingSphere(center=center, radius=math.ldexp(upper, exponent))
+    upper = math.sqrt(float(dist2.max()))
+    lower = math.sqrt(float(weights @ dist2))
+    if upper - lower > tol * upper:
+        raise ArithmeticError(
+            f"minimum enclosing ball of {n} points not certified: "
+            f"relative gap {(upper - lower) / upper:.3e} > tol {tol:g}"
+        )
+    return BoundingSphere(center=np.ldexp(center, exponent) + mean, radius=math.ldexp(upper, exponent))
 
 
-def _support_ball(pts: np.ndarray, support: list[int], budget: int) -> tuple[int, np.ndarray | None]:
-    """The exact step of min_enclosing_ball: (pivots taken, weights of the
-    optimal ball over all points, or None when the pivots run out or a
-    support is degenerate).
+def _covering_walk(pts: np.ndarray, center: np.ndarray, room: np.ndarray, far: int, max_iter) -> np.ndarray:
+    """Convex weights of the smallest ball covering pts, centred and scaled.
 
-    With A the support's rows less its first, G = A A^T, the circumcentre
-    p_0 + A^T y solves 2 G y = diag(G), and (1 - sum(y), y) are its
-    barycentric weights. A point counts as covered within 16 (d + m) eps of
-    the radius squared, for m support points: the round-off of the center
-    and of a squared distance, with room to spare. min_enclosing_ball
-    returns the exact covering radius, so this slack never hides a point.
+    The walk of Fischer, Gaertner and Kutz ("Fast smallest-enclosing-ball
+    computation in high dimensions", ESA 2003) moves a center c, from center,
+    with a support T, from [far], on its ball, which covers every point;
+    room[i] = (|t_0 - c|^2 - |p_i - c|^2) / 2, inf on T. Each step heads for
+    T's circumcentre t_0 + Q z (Q R = columns t_i - t_0, R^T z = |t_i - t_0|^2
+    / 2); the least room / gain below 1 stops it, and its point joins T as a
+    Gram-Schmidt column. There the weights over T are (1 - sum(y), y), R y =
+    z: the least index of a negative one leaves T, the factor is redone, and
+    each step and drop counts against max_iter. T never exceeds d + 1 points;
+    a stopper within sqrt(eps) of T's affine hull (a mirror twin or duplicate
+    of a support point) is skipped; points already on the ball stop the walk
+    first, least index first: with the drop rule, Bland's rule, without which
+    cospherical points cycle.
     """
     n, dim = pts.shape
-    for pivot in range(1, budget + 1):
-        span = pts[support[1:]] - pts[support[0]]
-        gram = span @ span.T
-        try:
-            y = np.linalg.solve(2.0 * gram, np.diagonal(gram))
-        except np.linalg.LinAlgError:
-            return pivot, None
-        weights = np.concatenate([[1.0 - y.sum()], y])
-        if not np.isfinite(weights).all():
-            return pivot, None
-        worst = int(np.argmin(weights))
-        if weights[worst] < 0.0:
-            del support[worst]
-            continue
-        dist2 = ((pts - weights @ pts[support]) ** 2).sum(axis=1)
-        far = int(np.argmax(dist2))
-        radius2 = float(weights @ dist2[support])
-        if dist2[far] <= radius2 * (1.0 + 16 * (dim + len(support)) * np.finfo(float).eps):
-            full = np.zeros(n)
-            full[support] = weights
-            return pivot, full
-        support.append(far)
-    return budget, None
+    support, k, iteration = [far], 0, 0  # k = len(support) - 1
+    basis, factor, z = np.empty((dim, dim)), np.zeros((dim, dim)), np.empty(dim)
+    t0 = pts[far]
+    v, toward = t0 - center, t0 - pts
+    room[far] = math.inf
+    while iteration < max_iter:
+        iteration += 1
+        gain = toward @ v
+        hits, order = (np.flatnonzero(gain > room) if k < dim else []), []
+        if len(hits):
+            steps = room[hits] / gain[hits]
+            steps[room[hits] <= 2.0**-41] = -1.0  # on the ball to round-off: smallest index first
+            order = np.argsort(steps, kind="stable")
+        for j in order:
+            w = pts[hits[j]] - t0
+            q = basis[:, :k]
+            r = q.T @ w
+            u = w - q @ r
+            if (uu := u @ u) < 0.5 * (ww := w @ w):  # cancellation: orthogonalize twice
+                again = q.T @ u
+                u -= q @ again
+                r += again
+                uu = u @ u
+            if uu <= 2.0**-52:  # within sqrt(eps) of T's affine hull: skip
+                continue
+            if steps[j] > 0.0:
+                room = np.maximum(room - steps[j] * gain, 0.0)
+                v *= 1.0 - steps[j]
+            room[hits[j]] = math.inf
+            support.append(int(hits[j]))
+            basis[:, k] = u / (delta := math.sqrt(uu))
+            z[k] = (0.5 * ww - r @ z[:k]) / delta
+            factor[:k, k], factor[k, k] = r, delta
+            v += z[k] * basis[:, k]
+            k += 1
+            break
+        else:  # no point stops the walk: c is at the circumcentre
+            y = np.linalg.solve(factor[:k, :k], z[:k])
+            weights = np.zeros(n)
+            weights[support] = [1.0 - y.sum(), *y]
+            if weights.min() >= 0.0:
+                return weights
+            iteration += 1  # the drop
+            psi = t0 + basis[:, :k] @ z[:k]
+            support.remove(int(np.flatnonzero(weights < 0.0)[0]))
+            k -= 1
+            t0 = pts[support[0]]
+            dist2 = ((pts - psi) ** 2).sum(axis=1)
+            room = np.maximum(0.5 * (dist2[support[0]] - dist2), 0.0)
+            room[support] = math.inf
+            toward = t0 - pts
+            span = (pts[support[1:]] - t0).T
+            basis[:, :k], factor[:k, :k] = np.linalg.qr(span)
+            z[:k] = np.linalg.solve(factor[:k, :k].T, 0.5 * (span * span).sum(axis=0))
+            v = t0 + basis[:, :k] @ z[:k] - psi
+    raise ArithmeticError(f"minimum enclosing ball of {n} points not found in {max_iter} iterations")
 
 
 def complexity_score(vectors) -> float:

@@ -11,6 +11,8 @@ import csv
 import io
 from pathlib import Path
 
+import numpy as np
+
 from .analysis import ClusterAssignment, Embedding
 from .descriptor import DistanceMatrix, FeatureVector
 from .fea import AnalysisResult
@@ -104,9 +106,14 @@ def write_expansion_csv(path: Path, coefficients) -> None:
 
 
 def write_distance_matrix_csv(path: Path, matrix: DistanceMatrix) -> None:
+    """Each value as fmt_float writes it, formatted once per pair where (j, i) equals (i, j)."""
+    values = matrix.values
+    own = np.triu(np.ones(values.shape, dtype=bool)) | (values != values.T)
+    text = np.empty(values.shape, dtype=object)
+    text[own] = list(map(fmt_float, values[own].tolist()))
+    text[~own] = text.T[~own]
     header = ["node_id"] + [str(nid) for nid in matrix.node_ids]
-    rows = ([nid] + [fmt_float(v) for v in row] for nid, row in zip(matrix.node_ids, matrix.values))
-    write_csv(path, header, rows)
+    write_csv(path, header, ([nid, *row] for nid, row in zip(matrix.node_ids, text.tolist())))
 
 
 def write_embedding_csv(path: Path, embedding: Embedding, node_ids) -> None:

@@ -56,8 +56,8 @@ def brute_force_ball_radius(points: np.ndarray) -> float:
 
 
 def frank_wolfe_ball_radius(points: np.ndarray, tol: float = 1e-7) -> float:
-    """Reference: min_enclosing_ball's radius by pairwise Frank-Wolfe alone,
-    with no exact step: the same centring, scaling, start and stop rule."""
+    """Reference: the covering radius pairwise Frank-Wolfe certifies to tol,
+    from min_enclosing_ball's centring, scaling and two-point start."""
     points = np.asarray(points, dtype=float)
     mean = points.mean(axis=0)
     _, exponent = math.frexp(float(np.abs(points - mean).max(initial=0.0)))
@@ -279,13 +279,12 @@ class TestMinEnclosingBall:
             oracle = brute_force_ball_radius(points)
             assert ball.radius == pytest.approx(oracle, rel=1e-6, abs=1e-12)
 
-    def test_high_dimension_consistent_with_tight_rerun(self):
+    def test_high_dimension_matches_brute_force(self):
         rng = np.random.default_rng(97)
         for _ in range(40):
             points = rng.normal(size=(int(rng.integers(2, 9)), 17))
-            loose = min_enclosing_ball(points, tol=1e-7).radius
-            tight = min_enclosing_ball(points, tol=1e-8).radius
-            assert loose == pytest.approx(tight, rel=1e-6)
+            oracle = brute_force_ball_radius(points)
+            assert min_enclosing_ball(points).radius == pytest.approx(oracle, rel=1e-12, abs=0.0)
 
     def test_every_point_covered(self):
         rng = np.random.default_rng(101)
@@ -331,6 +330,17 @@ class TestMinEnclosingBall:
         assert ball.radius == pytest.approx(oracle, rel=1e-6, abs=0.0)
         moved = min_enclosing_ball(points - base, max_iter=5_000)
         assert moved.radius == pytest.approx(ball.radius, rel=2e-7, abs=0.0)
+
+    @pytest.mark.parametrize(
+        ("keyword", "value"),
+        [("tol", math.nan), ("tol", math.inf), ("tol", 0.0), ("tol", -1.0), ("max_iter", 0), ("max_iter", -3)],
+    )
+    def test_invalid_settings_refused_at_once(self, keyword, value):
+        points = np.random.default_rng(107).normal(size=(30, 5))
+        started = time.perf_counter()
+        with pytest.raises(ValueError, match=rf"^{keyword} must .* got {value!r}$"):
+            min_enclosing_ball(points, **{keyword: value})
+        assert time.perf_counter() - started < 0.5
 
     def test_exhausted_budget_raises(self):
         points = np.random.default_rng(107).normal(size=(30, 5))
@@ -393,22 +403,39 @@ class TestMinEnclosingBall:
             radius = min_enclosing_ball(members).radius
             assert abs(min_enclosing_ball(moved).radius - radius) <= shift + 1e-12 * radius, key
 
-    def test_out_of_pivots_falls_back_to_frank_wolfe(self, monkeypatch):
-        # This cloud needs more than d + 1 pivots; Frank-Wolfe then runs from
-        # the two-point start, as with no exact step at all.
+    def test_long_walk_covers_below_frank_wolfe(self):
+        # A support pivot rule with d + 1 pivots ran out on this cloud.
         points = np.random.default_rng(105).normal(size=(1000, 17))
-        outcomes = []
-        support_ball = analysis._support_ball
-
-        def spy(*args):
-            outcomes.append(support_ball(*args))
-            return outcomes[-1]
-
-        monkeypatch.setattr(analysis, "_support_ball", spy)
         ball = min_enclosing_ball(points)
-        assert outcomes == [(17, None)]
-        assert ball.radius == frank_wolfe_ball_radius(points)
         assert np.sqrt(((points - ball.center) ** 2).sum(axis=1)).max() <= ball.radius * (1.0 + 1e-12)
+        assert ball.radius <= frank_wolfe_ball_radius(points)
+
+    def test_corpus_certifies_to_round_off(self, kscan_clusters):
+        # Every set below certifies at tol 1e-13: the weights' lower bound is
+        # within 1e-13 of the covering radius, so the radius is the optimum to
+        # round-off. A support pivot rule ran out of 50 (d + 1) pivots on the
+        # first four normal clouds, and met a singular Gram matrix on the next three.
+        named = [((50, 2), 0), ((50, 2), 1), ((50, 2), 16), ((100, 3), 5), ((100, 3), 0), ((100, 3), 8), ((500, 8), 33)]
+        sets = [np.random.default_rng(seed).normal(size=shape) for shape, seed in named]
+        for seed in range(8):
+            rng = np.random.default_rng(seed)
+            sets += [rng.normal(size=shape) for shape in [(50, 2), (100, 3), (200, 5), (30, 17), (8, 17)]]
+            units = rng.normal(size=(40, 17))
+            sets.append(units / np.linalg.norm(units, axis=1, keepdims=True))  # cospherical
+            sets.append(np.tile(rng.normal(size=(20, 6)), (3, 1)))  # every row three times
+            sets.append(1e6 + rng.integers(-3, 4, size=(30, 17)))  # lattice far from the origin
+            sets.append(np.round(rng.uniform(size=(60, 4)), 1))  # rounded unit cube
+            sets.append(rng.normal(size=(50, 3)) @ rng.normal(size=(3, 17)))  # rank 3 in 17-D
+        sets += [members for _, members in kscan_clusters]
+        sets += [np.array([[0.0, 0.0, 0.0], [3e-160, 0.0, 0.0], [0.0, 2e-160, 0.0]])]
+        sets += [np.array([[0.0, 0.0, 0.0], [3e160, 0.0, 0.0], [0.0, 2e160, 0.0]])]
+        for points in sets:
+            ball = min_enclosing_ball(points, tol=1e-13)
+            # In units of the radius, so neither scale overflows nor underflows.
+            unit = ball.radius or 1.0
+            distances = np.sqrt((((points - ball.center) / unit) ** 2).sum(axis=1))
+            slack = np.linalg.norm(np.spacing(ball.center) / unit)
+            assert distances.max() <= ball.radius / unit * (1.0 + 1e-12) + slack
 
 
 class TestComplexityScore:
